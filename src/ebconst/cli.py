@@ -38,12 +38,10 @@ def _emit_json(payload) -> None:
 
 def _cmd_digits(args) -> int:
     try:
-        if args.threads < 1:
-            raise ValueError("--threads must be >= 1")
         if args.method == "naive":
             result = expand_naive(args.n)
         else:
-            result = expand_sieve(args.n, threads=args.threads)
+            result = expand_sieve(args.n)
     except (ValueError, MemoryError, CertificationError) as exc:
         return _fail(str(exc))
     if args.format == "hex":
@@ -251,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("naive", "sieve"), default="sieve")
     p.add_argument("--format", choices=("ascii", "hex"), default="ascii")
     p.add_argument("--with-integer-part", action="store_true")
-    p.add_argument("--threads", type=int, default=1,
-                   help="sieve fill workers; output is identical for any value")
     p.set_defaults(func=_cmd_digits)
 
     p = sub.add_parser("window", help="bits at a position without earlier digits")

@@ -128,13 +128,16 @@ def _pack_weighted(counts: np.ndarray, m: int) -> int:
 
     Bytes are assembled in one vectorized pass: terms are grouped eight to
     a byte position, three-byte group values are added at overlapping
-    offsets, and carries are normalized before int.from_bytes.
+    offsets, and carries are normalized before int.from_bytes. Entries
+    must be below 2**16, as in a DivisorTable; only that 16-bit table is
+    copied in full, and the 64-bit work arrays hold one entry per eight
+    terms.
     """
-    c = counts[1 : m + 1].astype(np.int64)[::-1]  # c[i] weights 2**i
-    pad = (-len(c)) % 8
-    if pad:
-        c = np.concatenate([c, np.zeros(pad, np.int64)])
-    group = c.reshape(-1, 8) @ (1 << np.arange(8, dtype=np.int64))
+    c = np.zeros(-(-m // 8) * 8, np.uint16)
+    c[:m] = counts[m:0:-1]  # c[i] weights 2**i
+    group = c[0::8].astype(np.int64)
+    for i in range(1, 8):
+        group += c[i::8].astype(np.int64) << i
     acc = np.zeros(len(group) + 3, np.int64)
     acc[: len(group)] += group & 0xFF
     acc[1 : len(group) + 1] += (group >> 8) & 0xFF
@@ -149,8 +152,7 @@ def _pack_weighted(counts: np.ndarray, m: int) -> int:
 
 
 def expand_sieve(precision: int, *, guard_bits: int | None = None,
-                 memory_budget: int | None = None,
-                 threads: int = 1) -> DigitExpansion:
+                 memory_budget: int | None = None) -> DigitExpansion:
     """Expansion from sum_n d(n)/2**n over a divisor-count table.
 
     The partial sum over n <= precision+guard is exact; the omitted tail
@@ -163,7 +165,7 @@ def expand_sieve(precision: int, *, guard_bits: int | None = None,
     guard = _initial_guard(precision) if guard_bits is None else guard_bits
     for _ in range(_RETRY_CAP + 1):
         m = precision + guard
-        table = divisor_sieve(m, memory_budget=memory_budget, threads=threads)
+        table = divisor_sieve(m, memory_budget=memory_budget)
         lower = _pack_weighted(table.counts, m)
         slack = 8 * _isqrt_ceil(m)
         emitted = _emit(lower, slack, precision, guard)

@@ -3,7 +3,8 @@
 Everything here is integer-exact and deterministic: primality via a
 Miller-Rabin variant whose fixed witness set is proven correct far beyond
 the 64-bit range, factorization by trial division against a cached prime
-list, d(n) tables by an additive sieve, and exact divisor sums over
+list, d(n) tables by a Dirichlet-hyperbola sieve that needs strided adds
+only for divisors up to sqrt(limit), and exact divisor sums over
 arithmetic progressions.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
@@ -184,22 +184,16 @@ class DivisorTable:
     counts: np.ndarray
 
 
-def _fill_counts(counts: np.ndarray, lo: int, hi: int) -> None:
-    # Adds the contribution of every divisor d < n for n in [lo, hi);
-    # the divisor d = n itself is the table's initial 1.
-    for d in range(1, (hi - 1) // 2 + 1):
-        start = max(2 * d, ((lo + d - 1) // d) * d)
-        if start < hi:
-            counts[start:hi:d] += 1
+def divisor_sieve(limit: int, *, memory_budget: int | None = None) -> DivisorTable:
+    """Divisor-count table for 1..limit from sqrt(limit) strided adds.
 
-
-def divisor_sieve(limit: int, *, memory_budget: int | None = None,
-                  threads: int = 1) -> DivisorTable:
-    """Divisor-count table for 1..limit in O(limit log limit) additions.
-
-    Entries are 16-bit, wide enough for every d(n) with n within any
-    budget-permitted limit. Chunked filling is deterministic: chunks are
-    disjoint, so the result is identical for any thread count.
+    Uses the hyperbola form d(m) = 2*#{d | m : d < sqrt(m)} + [m is a
+    square], which at x = 1/2 is Clausen's Lambert-series identity
+    sum x**n/(1 - x**n) = sum x**(n*n) * (1 + x**n)/(1 - x**n). Each
+    d <= isqrt(limit) adds 1 at d*d and 2 at every multiple of d from
+    d*d + d on, so the table costs isqrt(limit) slice updates. Entries are
+    16-bit, wide enough for every d(n) with n within any budget-permitted
+    limit.
     """
     if limit < 1:
         raise ValueError("divisor_sieve requires limit >= 1")
@@ -211,18 +205,9 @@ def divisor_sieve(limit: int, *, memory_budget: int | None = None,
             f"budget is {budget}; raise memory_budget or lower the limit"
         )
     counts = np.zeros(limit + 1, dtype=np.uint16)
-    counts[1:] = 1
-    if threads <= 1:
-        _fill_counts(counts, 1, limit + 1)
-    else:
-        edges = np.linspace(1, limit + 1, threads + 1, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            jobs = [
-                pool.submit(_fill_counts, counts, int(edges[i]), int(edges[i + 1]))
-                for i in range(threads)
-            ]
-            for job in jobs:
-                job.result()
+    for d in range(1, isqrt(limit) + 1):
+        counts[d * d] += 1
+        counts[d * d + d :: d] += 2
     return DivisorTable(limit, counts)
 
 

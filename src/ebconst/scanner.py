@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 # All 2**block_len blocks are tabulated, so cap the table size.
 MAX_BLOCK_LEN = 20
 
@@ -18,9 +20,12 @@ class BlockScanReport:
     overlapping: bool
 
 
-def _check_bits(s: str, name: str) -> None:
-    if set(s) - {"0", "1"}:
+def _check_bits(s: str, name: str) -> np.ndarray:
+    """The characters of s as ASCII codes, after checking they are bits."""
+    raw = np.frombuffer(s.encode("ascii", "replace"), np.uint8)
+    if (raw - ord("0") > 1).any():
         raise ValueError(f"{name} must contain only '0'/'1' characters")
+    return raw
 
 
 def scan_block(digits: str, pattern: str, overlapping: bool = True) -> BlockScanReport:
@@ -31,13 +36,23 @@ def scan_block(digits: str, pattern: str, overlapping: bool = True) -> BlockScan
     """
     if not pattern:
         raise ValueError("pattern must be nonempty")
-    _check_bits(digits, "digits")
-    _check_bits(pattern, "pattern")
-    positions: list[int] = []
-    i = digits.find(pattern)
-    while i != -1:
-        positions.append(i + 1)
-        i = digits.find(pattern, i + (1 if overlapping else len(pattern)))
+    raw = _check_bits(digits, "digits")
+    pat = _check_bits(pattern, "pattern")
+    # Candidates start where the first character matches; each later
+    # character filters the survivors, so the cost follows their number.
+    idx = np.flatnonzero(raw[: max(len(raw) - len(pat) + 1, 0)] == pat[0])
+    for j in range(1, len(pat)):
+        idx = idx[raw[idx + j] == pat[j]]
+    idx += 1
+    positions = idx.tolist()
+    if not overlapping:
+        kept: list[int] = []
+        free = 0
+        for i in positions:
+            if i >= free:
+                kept.append(i)
+                free = i + len(pat)
+        positions = kept
     return BlockScanReport(
         pattern=pattern,
         window=(1, len(digits)),

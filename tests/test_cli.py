@@ -44,6 +44,13 @@ def test_methods_agree():
     assert naive.stdout == sieve.stdout
 
 
+def test_methods_agree_past_many_sieve_rows():
+    naive = run_cli("digits", "--n", "5000", "--method", "naive", "--format", "hex")
+    sieve = run_cli("digits", "--n", "5000", "--method", "sieve", "--format", "hex")
+    assert naive.returncode == sieve.returncode == 0
+    assert naive.stdout == sieve.stdout
+
+
 def test_window_subcommand():
     result = run_cli("window", "--pos", "49", "--width", "4")
     assert result.stdout.strip() == "0010"

@@ -89,6 +89,16 @@ class TestPacking:
             expected = (expected << 1) + values[n - 1]
         assert _pack_weighted(counts, m) == expected
 
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 1000, 4097])
+    def test_uint16_tables_match_big_int_sum(self, m):
+        # Full 16-bit range, plus an all-ones table whose byte groups carry
+        # at every position; entries past m must not leak into the sum.
+        rng = np.random.default_rng(m)
+        for counts in (rng.integers(0, 1 << 16, m + 5, dtype=np.uint16),
+                       np.full(m + 5, 0xFFFF, np.uint16)):
+            expected = sum(int(counts[n]) << (m - n) for n in range(1, m + 1))
+            assert _pack_weighted(counts, m) == expected
+
 
 class TestDigitWindow:
     @pytest.mark.parametrize("pos,width,expected", [

@@ -192,12 +192,14 @@ class TestDivisorSieve:
             n = rng.randint(1, limit)
             assert counts[n] == divisor_count(n)
 
-    def test_thread_count_does_not_change_output(self):
-        one = divisor_sieve(10**5, threads=1).counts
-        two = divisor_sieve(10**5, threads=2).counts
-        four = divisor_sieve(10**5, threads=4).counts
-        assert np.array_equal(one, two)
-        assert np.array_equal(one, four)
+    def test_every_small_limit_matches_brute_force(self):
+        # The hyperbola fill changes shape at k*k - 1, k*k and k*k + k;
+        # every limit up to 400 passes those boundaries for k <= 20.
+        expected = [brute_divisor_count(n) for n in range(1, 401)]
+        for limit in range(1, 401):
+            counts = divisor_sieve(limit).counts
+            assert len(counts) == limit + 1
+            assert counts[1:].tolist() == expected[:limit]
 
     def test_zero_limit_rejected(self):
         with pytest.raises(ValueError):
