@@ -41,7 +41,9 @@ from .divisors import (
     FactorMap,
     SieveBudgetError,
     divisor_count,
+    divisor_counts,
     divisor_sieve,
+    divisor_tail,
     factorize,
     is_prime,
     primes_in_range,

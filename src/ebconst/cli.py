@@ -140,9 +140,13 @@ def _cmd_verify(args) -> int:
             with open(args.file, "r", encoding="ascii") as handle:
                 text = handle.read()
         cert = construction.certificate_from_json(text)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            ZeroDivisionError) as exc:
         return _fail(f"unreadable certificate: {exc}")
-    report = construction.verify_certificate(cert)
+    try:
+        report = construction.verify_certificate(cert)
+    except ValueError as exc:  # e.g. a term past the factoring ceiling
+        return _fail(f"certificate outside the supported range: {exc}")
     for result in report.results:
         print(f"{result.name}\t{'pass' if result.passed else 'FAIL'}\t{result.detail}")
     for note in report.indeterminate:

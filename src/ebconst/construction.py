@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, gcd, isqrt
+from math import floor, gcd
 
 from .crt import CongruenceSystem, crt_solve
 from .digits import digit_window, fractional_part_enclosure
-from .divisors import divisor_count, is_prime, primes_in_range, valuation
+from .divisors import (FACTOR_LIMIT, _isqrt_ceil, divisor_count, divisor_tail,
+                       is_prime, primes_in_range, valuation)
 
 
 class ConstructionError(ValueError):
@@ -51,11 +52,6 @@ class TailEstimate:
         return self.value + self.remainder_bound
 
 
-def _isqrt_ceil(x: int) -> int:
-    r = isqrt(x)
-    return r if r * r == x else r + 1
-
-
 def tail_estimate(n: int, k: int, cutoff: int) -> TailEstimate:
     """Exact truncated tail plus a rigorous remainder bound.
 
@@ -67,16 +63,13 @@ def tail_estimate(n: int, k: int, cutoff: int) -> TailEstimate:
         raise ValueError("tail_estimate requires n >= 1")
     if k < 0 or cutoff < k:
         raise ValueError("tail_estimate requires cutoff >= k >= 0")
-    scaled = 0  # value * 2**cutoff
-    for offset in range(k, cutoff + 1):
-        scaled += divisor_count(n + offset) << (cutoff - offset)
-    root = _isqrt_ceil(n + cutoff + 1)
+    scaled, slack = divisor_tail(n + k, cutoff - k + 1)  # at scale 2**cutoff
     return TailEstimate(
         n=n,
         k=k,
         cutoff=cutoff,
         value=Fraction(scaled, 1 << cutoff),
-        remainder_bound=Fraction(2 * root + 2, 1 << cutoff),
+        remainder_bound=Fraction(slack, 1 << cutoff),
     )
 
 
@@ -103,6 +96,11 @@ def tail_below_half_k(estimate: TailEstimate) -> bool:
 # Witness pipeline
 # ---------------------------------------------------------------------------
 
+ADAPTIVE_CUTOFF_SPAN = 64
+# Largest tail span cutoff - k that search may use and verify will compute.
+_CUTOFF_SPAN_CAP = 4096
+
+
 @dataclass(frozen=True)
 class WitnessParams:
     """Desk-scale knobs for the witness pipeline.
@@ -110,7 +108,8 @@ class WitnessParams:
     k >= 3 is the window-length parameter; index j = 2 is reserved for the
     d(n+2) = 6 slot and never receives a prime group. Primes come either
     from an inclusive window [low, high] or an explicit list. m_max bounds
-    the scan; tail_cutoff of None selects the adaptive policy.
+    the scan; tail_cutoff of None selects the adaptive policy, and an
+    explicit one must lie in [k, k + 4096], the span verify accepts.
     """
 
     k: int
@@ -126,8 +125,10 @@ class WitnessParams:
             raise ValueError("provide exactly one of prime_window or primes")
         if self.m_max < 0:
             raise ValueError("m_max must be >= 0")
-        if self.tail_cutoff is not None and self.tail_cutoff < self.k:
-            raise ValueError("tail_cutoff must be >= k")
+        if self.tail_cutoff is not None and not (
+                self.k <= self.tail_cutoff <= self.k + _CUTOFF_SPAN_CAP):
+            raise ValueError(
+                f"tail_cutoff must lie in [k, k + {_CUTOFF_SPAN_CAP}]")
 
     @property
     def group_indices(self) -> list[int]:
@@ -304,10 +305,6 @@ class NoWitnessInRange:
     prime_hits: int
 
 
-ADAPTIVE_CUTOFF_SPAN = 64
-_CUTOFF_SPAN_CAP = 4096
-
-
 def _adaptive_cutoff(n: int, k: int) -> int:
     """cutoff = k + 64, doubled until 4*remainder_bound <= 2**(-k/2)."""
     span = ADAPTIVE_CUTOFF_SPAN
@@ -431,9 +428,23 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
 
     Nothing stored in the certificate is trusted: products, the CRT
     residue, divisor counts, the tail enclosure and the digit claim are all
-    recomputed, and the digit claim is confirmed two independent ways.
+    recomputed. The digit claim is checked by both the positional window
+    and the fractional-part enclosure; these two and the tail check all
+    read the same divisor-tail sum, so they are not independent of it.
+
+    A certificate whose tail span cutoff - k lies outside [0, 4096], or
+    whose n + cutoff passes FACTOR_LIMIT, fails the tail check before any
+    divisor count is computed, and nothing else is checked.
     """
     report = VerificationReport()
+    n, k, cutoff = cert.n, cert.k, cert.tail.cutoff
+    if not (0 <= k <= cutoff <= k + _CUTOFF_SPAN_CAP
+            and 1 <= n <= FACTOR_LIMIT - cutoff):
+        report.add("tail", False,
+                   f"tail span cutoff - k = {cutoff - k} must lie in "
+                   f"[0, {_CUTOFF_SPAN_CAP}] and n + cutoff must not exceed "
+                   f"{FACTOR_LIMIT}; nothing was recomputed")
+        return report
 
     products = {j: 1 for j in cert.groups}
     for j, members in cert.groups.items():
@@ -473,7 +484,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     )
     report.add("s_properties", s_ok, CHECK_RELATIONS["s_properties"])
 
-    n, p = cert.n, cert.p
+    p = cert.p
     d6_ok = (
         p == cert.s + cert.m * cert.B
         and is_prime(p)
@@ -489,12 +500,12 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
 
     pattern_ok = all(
         divisor_count(n + j) % (1 << (j + 1)) == 0
-        for j in range(cert.k) if j != 2
+        for j in range(k) if j != 2
     )
     report.add("divisibility_pattern", pattern_ok,
                CHECK_RELATIONS["divisibility_pattern"])
 
-    fresh = tail_estimate(n, cert.k, cert.tail.cutoff)
+    fresh = tail_estimate(n, k, cutoff)
     window_ok, window_index = tail_window(fresh)
     tail_ok = (
         fresh.value == cert.tail.value

@@ -1,28 +1,24 @@
 """Certified binary digits of E = sum_{n>=1} 1/(2**n - 1) = sum d(n)/2**n.
 
 Two independent expansion algorithms (reciprocal series and divisor-sieve
-series) plus positional digit extraction. Every emitted digit is certified:
-the algorithm tracks an exact integer enclosure [lower, lower + slack] of
-the scaled value, and digits are released only when both ends of the
-enclosure agree on them after guard bits are discarded. Position 1 is the
-first bit after the binary point; the integer part (1 for E) is kept
-separately.
+series) plus positional digit extraction, which reads the bits at
+position n from the divisor route frac(2**(n-1) E) = frac(sum_l
+d(n+l)/2**(l+1)) over one short run of divisor counts. Every emitted digit
+is certified: the algorithm tracks an exact integer enclosure
+[lower, lower + slack] of the scaled value, and digits are released only
+when both ends of the enclosure agree on them after guard bits are
+discarded. Position 1 is the first bit after the binary point; the integer
+part (1 for E) is kept separately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
-from .divisors import divisor_count, divisor_sieve
-
-# Positional extraction sums the reciprocal series term-by-term, which costs
-# O(pos) big-integer divisions; past this point the divisor-tail form of the
-# same value (see _frac_divisor_scaled) is the only affordable route.
-SERIES_ROUTE_MAX = 1 << 20
+from .divisors import _isqrt_ceil, divisor_sieve, divisor_tail
 
 _RETRY_CAP = 10
 
@@ -72,11 +68,6 @@ class FractionEnclosure:
 
 def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length() if x > 1 else 0
-
-
-def _isqrt_ceil(x: int) -> int:
-    r = isqrt(x)
-    return r if r * r == x else r + 1
 
 
 def _initial_guard(n_bits: int) -> int:
@@ -188,7 +179,8 @@ def _frac_series_scaled(pos: int, work_bits: int) -> tuple[int, int]:
     fractional part. Summing a = 2..pos+work_bits floored at work_bits
     fractional bits loses < 1 ulp per term, and the omitted tail is below
     2**(pos - (pos+work_bits)) = 1 ulp. Returns (lower, slack) at scale
-    2**work_bits.
+    2**work_bits. It costs O(pos) big-integer divisions and shares no
+    arithmetic with the divisor route, so it serves as that route's oracle.
     """
     top = pos + work_bits
     lower = 0
@@ -208,17 +200,7 @@ def _frac_divisor_scaled(pos: int, work_bits: int) -> tuple[int, int]:
     partial sum over l < work_bits is exact; with W = work_bits the tail is
     at most sum_{l>=W} sqrt(pos+l)*2**-l <= (2*sqrt(pos+W) + 2) * 2**-W.
     """
-    lower = 0
-    for offset in range(work_bits):
-        lower += divisor_count(pos + offset) << (work_bits - 1 - offset)
-    slack = 2 * _isqrt_ceil(pos + work_bits) + 2
-    return lower, slack
-
-
-def _frac_scaled(pos: int, work_bits: int) -> tuple[int, int]:
-    if pos <= SERIES_ROUTE_MAX:
-        return _frac_series_scaled(pos, work_bits)
-    return _frac_divisor_scaled(pos, work_bits)
+    return divisor_tail(pos, work_bits)
 
 
 def digit_window(pos: int, width: int) -> str:
@@ -232,12 +214,8 @@ def digit_window(pos: int, width: int) -> str:
         raise ValueError("pos and width must be >= 1")
     extra = 0
     for _ in range(_RETRY_CAP + 1):
-        if pos <= SERIES_ROUTE_MAX:
-            work = width + _ceil_log2(pos + width + 64) + 8 + extra
-            work = width + _ceil_log2(pos + work) + 8 + extra
-        else:
-            work = width + _ceil_log2(2 * _isqrt_ceil(pos) + 2) + 8 + extra
-        lower, slack = _frac_scaled(pos, work)
+        work = width + _ceil_log2(2 * _isqrt_ceil(pos) + 2) + 8 + extra
+        lower, slack = _frac_divisor_scaled(pos, work)
         if (lower >> work) == ((lower + slack) >> work):
             frac_lower = lower - ((lower >> work) << work)
             drop = work - width
@@ -255,13 +233,8 @@ def fractional_part_enclosure(n: int, precision: int = 32) -> FractionEnclosure:
         raise ValueError("n and precision must be >= 1")
     extra = 0
     for _ in range(_RETRY_CAP + 1):
-        work = precision + 4 + extra
-        if n <= SERIES_ROUTE_MAX:
-            work += _ceil_log2(n + work)
-            work += _ceil_log2(n + work)  # slack ~ n + work ulps
-        else:
-            work += _ceil_log2(2 * _isqrt_ceil(n) + 2)
-        lower, slack = _frac_scaled(n, work)
+        work = precision + 4 + extra + _ceil_log2(2 * _isqrt_ceil(n) + 2)
+        lower, slack = _frac_divisor_scaled(n, work)
         whole = lower >> work
         if whole == ((lower + slack) >> work) and slack <= (1 << (work - precision)):
             base = whole << work

@@ -4,7 +4,8 @@ Everything here is integer-exact and deterministic: primality via a
 Miller-Rabin variant whose fixed witness set is proven correct far beyond
 the 64-bit range, factorization by trial division against a cached prime
 list, d(n) tables by a Dirichlet-hyperbola sieve that needs strided adds
-only for divisors up to sqrt(limit), and exact divisor sums over
+only for divisors up to sqrt(limit), d(n) over a short run of consecutive
+integers by a segmented sieve of that run, and exact divisor sums over
 arithmetic progressions.
 """
 
@@ -63,12 +64,13 @@ def is_prime(n: int) -> bool:
 
 
 _primes: list[int] = []
+_prime_array = np.zeros(0, dtype=np.int64)  # _primes as int64, for sieving
 _prime_limit = 0
 _prime_lock = threading.Lock()
 
 
 def _extend_primes(limit: int) -> None:
-    global _primes, _prime_limit
+    global _primes, _prime_array, _prime_limit
     with _prime_lock:
         if limit <= _prime_limit:
             return
@@ -78,7 +80,8 @@ def _extend_primes(limit: int) -> None:
         for p in range(2, isqrt(limit) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = False
-        _primes = np.flatnonzero(sieve).tolist()
+        _prime_array = np.flatnonzero(sieve).astype(np.int64, copy=False)
+        _primes = _prime_array.tolist()
         _prime_limit = limit
 
 
@@ -161,6 +164,77 @@ def factorize(n: int) -> FactorMap:
 def divisor_count(n: int) -> int:
     """d(n), the number of positive divisors of n >= 1."""
     return prod(e + 1 for _, e in factorize(n))
+
+
+def _isqrt_ceil(x: int) -> int:
+    r = isqrt(x)
+    return r if r * r == x else r + 1
+
+
+# Integers per segment of divisor_counts; bounds its work arrays.
+_SEGMENT = 1 << 12
+
+
+def divisor_counts(lo: int, count: int) -> list[int]:
+    """[d(lo), d(lo + 1), ..., d(lo + count - 1)] by a segmented sieve.
+
+    Each segment of consecutive integers gets the first multiple of every
+    prime p <= isqrt(hi) from one vectorised (-start) % p; exponents are
+    divided out at those multiples only, and each multiplies d by e + 1.
+    A cofactor above 1 left afterwards has no prime factor <= isqrt(hi),
+    so it is one prime and doubles d (Bays and Hudson's segmented sieve of
+    Eratosthenes, counting divisors instead of marking composites).
+    """
+    if lo < 1 or count < 1:
+        raise ValueError("divisor_counts requires lo, count >= 1")
+    hi = lo + count - 1
+    if hi > FACTOR_LIMIT:
+        raise ValueError(f"factorize supports n <= {FACTOR_LIMIT}, got {hi}")
+    root = isqrt(hi)
+    _extend_primes(root)
+    primes = _prime_array[: np.searchsorted(_prime_array, root, side="right")]
+    out: list[int] = []
+    for start in range(lo, hi + 1, _SEGMENT):
+        size = min(_SEGMENT, hi + 1 - start)
+        first = (-start) % primes
+        hit = first < size
+        p, first = primes[hit], first[hit]
+        # One (position, prime) pair per multiple of p in the segment.
+        reps = (size - 1 - first) // p + 1
+        pair_p = np.repeat(p, reps)
+        rank = np.arange(len(pair_p)) - np.repeat(np.cumsum(reps) - reps, reps)
+        where = np.repeat(first, reps) + rank * pair_p
+        rest = start + where
+        exponent = np.zeros(len(where), dtype=np.int64)
+        power = np.ones(len(where), dtype=np.int64)
+        active = np.arange(len(where))
+        while active.size:
+            step = pair_p[active]
+            rest[active] //= step
+            exponent[active] += 1
+            power[active] *= step
+            active = active[rest[active] % step == 0]
+        counts = np.ones(size, dtype=np.int64)
+        np.multiply.at(counts, where, exponent + 1)
+        cofactor = np.arange(start, start + size, dtype=np.int64)
+        np.floor_divide.at(cofactor, where, power)
+        counts[cofactor > 1] *= 2
+        out.extend(counts.tolist())
+    return out
+
+
+def divisor_tail(start: int, count: int) -> tuple[int, int]:
+    """Weighted divisor tail (scaled, slack) at scale 2**count.
+
+    scaled = sum d(start + i) * 2**(count - 1 - i) over 0 <= i < count is
+    exact; since d(N) <= 2*sqrt(N), sqrt(a + b) <= sqrt(a) + sqrt(b) and
+    sum_{t>=0} sqrt(t)*2**-t < 2, the omitted terms i >= count add at most
+    slack = 2*ceil(sqrt(start + count)) + 2 at the same scale.
+    """
+    scaled = 0
+    for d in divisor_counts(start, count):
+        scaled = (scaled << 1) + d
+    return scaled, 2 * _isqrt_ceil(start + count) + 2
 
 
 def valuation(n: int, p: int) -> int:

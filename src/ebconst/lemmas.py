@@ -11,20 +11,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .bounds import ln_bounds, sqrt_bounds
 from .divisors import (
-    divisor_count,
+    _isqrt_ceil,
+    divisor_counts,
     factorize,
     primes_upto,
     progression_divisor_sum,
 )
-
-
-def _isqrt_ceil(x: int) -> int:
-    r = isqrt(x)
-    return r if r * r == x else r + 1
 
 _PRECISIONS = (64, 128, 256, 512)
 
@@ -247,11 +243,12 @@ def check_lemma3_decomposition(
     if min(ns) < 1:
         raise ValueError("progression members must be >= 1")
 
-    # Exact scaled double sum; column ell contributes to S1 for ell < L.
+    # Row n holds d(n + ell) for k <= ell <= cutoff. Exact scaled double
+    # sum, summed by columns; column ell contributes to S1 for ell < L.
+    rows = [divisor_counts(n + k, cutoff - k + 1) for n in ns]
     s1_scaled = 0
     s2_scaled = 0
-    for ell in range(k, cutoff + 1):
-        column = sum(divisor_count(n + ell) for n in ns)
+    for ell, column in enumerate(map(sum, zip(*rows)), start=k):
         if ell < L_analog:
             s1_scaled += column << (cutoff - ell)
         else:
@@ -261,9 +258,8 @@ def check_lemma3_decomposition(
 
     values = []
     joint_remainder = Fraction(0)
-    for n in ns:
-        scaled = sum(divisor_count(n + ell) << (cutoff - ell)
-                     for ell in range(k, cutoff + 1))
+    for n, row in zip(ns, rows):
+        scaled = sum(d << (cutoff - ell) for ell, d in enumerate(row, start=k))
         values.append(Fraction(scaled, 1 << cutoff))
         root = _isqrt_ceil(n + cutoff + 1)
         joint_remainder += Fraction(2 * root + 2, 1 << cutoff)

@@ -122,6 +122,52 @@ def test_verify_rejects_tampered_certificate(tmp_path):
     assert "failed verification" in verify.stderr
 
 
+@pytest.fixture(scope="module")
+def certificate() -> dict:
+    witness = run_cli("witness", "--k", "3", "--window", "5:20",
+                      "--m-max", "100000")
+    assert witness.returncode == 0
+    return json.loads(witness.stdout)
+
+
+def _edited(payload: dict, **changes) -> dict:
+    tail = dict(payload["tail"], **changes.pop("tail", {}))
+    return dict(payload, tail=tail, **changes)
+
+
+@pytest.mark.parametrize("hostile", [
+    "top_level_list",
+    "null",
+    "zero_value_den",
+    "groups_list",
+    "cutoff_span_past_cap",
+    "cutoff_below_k",
+    "n_plus_cutoff_past_limit",
+    "digit_check_past_limit",
+])
+def test_verify_hostile_certificate_exits_2(certificate, hostile):
+    k = certificate["k"]
+    payload = {
+        "top_level_list": [certificate],
+        "null": None,
+        "zero_value_den": _edited(certificate, tail={"value_den": "0"}),
+        "groups_list": _edited(certificate, groups=[["7"], ["11", "13"]]),
+        "cutoff_span_past_cap": _edited(certificate, tail={"cutoff": k + 4097}),
+        "cutoff_below_k": _edited(certificate, tail={"cutoff": k - 1}),
+        "n_plus_cutoff_past_limit": _edited(certificate, n=str(10**14 - 10)),
+        # Passes the tail gate (cutoff = k), but the digit window at n needs
+        # divisor counts past 10**14.
+        "digit_check_past_limit": _edited(certificate, n=str(10**14 - 40),
+                                          tail={"cutoff": k}),
+    }[hostile]
+    result = run_cli("verify", "--stdin", stdin=json.dumps(payload))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ")
+    if hostile.startswith(("cutoff", "n_plus")):
+        assert result.stdout.startswith("tail\tFAIL\t")
+
+
 def test_erdos_run_tsv():
     result = run_cli("erdos-run", "--t", "2", "--group", "3", "--group", "5,7")
     assert result.returncode == 0

@@ -65,6 +65,12 @@ class TestSelectPrimes:
         with pytest.raises(ValueError):
             WitnessParams(k=2, prime_window=(5, 20))
 
+    def test_tail_cutoff_span_capped(self):
+        # search must not emit a tail span that verify refuses.
+        WitnessParams(k=3, prime_window=(5, 20), tail_cutoff=3 + 4096)
+        with pytest.raises(ValueError, match="tail_cutoff"):
+            WitnessParams(k=3, prime_window=(5, 20), tail_cutoff=3 + 4097)
+
 
 class TestBuildWitnessSystem:
     def test_reference_moduli(self):
@@ -218,6 +224,31 @@ class TestTamperDetection:
         report = verify_certificate(replace(desk_certificate, tail=bad_tail))
         assert not report.ok
         assert "tail" in {r.name for r in report.results if not r.passed}
+
+
+class TestVerifyWorkBound:
+    @pytest.mark.parametrize("n_shift,cutoff_shift", [
+        (0, 4097 - 64),          # cutoff - k = 4097
+        (0, -67),                # cutoff < k
+        (10**14, 0),             # n + cutoff past FACTOR_LIMIT
+    ])
+    def test_refused_before_any_divisor_count(self, desk_certificate,
+                                              monkeypatch, n_shift,
+                                              cutoff_shift):
+        import ebconst.construction as construction
+
+        def forbidden(*args):
+            raise AssertionError("divisor count computed")
+
+        monkeypatch.setattr(construction, "divisor_count", forbidden)
+        monkeypatch.setattr(construction, "divisor_tail", forbidden)
+        cert = desk_certificate
+        assert cert.tail.cutoff == cert.k + 64
+        tail = replace(cert.tail, cutoff=cert.tail.cutoff + cutoff_shift)
+        report = verify_certificate(
+            replace(cert, n=cert.n + n_shift, tail=tail))
+        assert not report.ok
+        assert [(r.name, r.passed) for r in report.results] == [("tail", False)]
 
 
 class TestCertificateJson:

@@ -20,6 +20,28 @@ from ebconst.digits import (
 )
 
 
+# A full expansion just past 2**20, the old hand-over point between the
+# reciprocal-series and divisor routes of positional extraction.
+PAST_2_20 = (1 << 20) + 64
+
+
+@pytest.fixture(scope="module")
+def bits_past_2_20() -> str:
+    return expand_sieve(PAST_2_20).bits
+
+
+def _seeded_positions(seed: int, count: int) -> list[int]:
+    # Half log-uniform, so small positions are well covered, half uniform.
+    rng = random.Random(seed)
+    positions = []
+    for i in range(count):
+        if i % 2:
+            positions.append(rng.randint(1, PAST_2_20))
+        else:
+            positions.append(min(PAST_2_20, int(2 ** rng.uniform(0, 20.0001))))
+    return positions
+
+
 class TestExpansions:
     def test_golden_52_naive(self, golden52):
         result = expand_naive(52)
@@ -122,8 +144,8 @@ class TestDigitWindow:
         # real numbers that agree modulo 1; after discarding each route's
         # integer part the fractional enclosures must intersect.
         rng = random.Random(11)
-        for _ in range(10):
-            pos = rng.randint(100, 5000)
+        positions = [rng.randint(100, 5000) for _ in range(10)]
+        for pos in positions + [(1 << 20) - 3, (1 << 20) + 5]:
             work = 56
             scale = 1 << work
             brackets = []
@@ -142,14 +164,20 @@ class TestDigitWindow:
         bits = digit_window(10**9 + 7, 8)
         assert len(bits) == 8 and set(bits) <= {"0", "1"}
 
-    def test_route_boundary_matches_expansion(self):
-        # Positions straddling the dispatch threshold agree with a full
-        # expansion, so the hand-off between routes is seamless.
-        from ebconst.digits import SERIES_ROUTE_MAX
+    def test_route_boundary_matches_expansion(self, bits_past_2_20):
+        # Positions on both sides of 2**20, where positional extraction
+        # once switched from the series route to the divisor route, agree
+        # with a full expansion.
+        for pos in ((1 << 20) - 4, (1 << 20) + 4):
+            assert digit_window(pos, 8) == bits_past_2_20[pos - 1 : pos + 7]
 
-        reference = expand_sieve(SERIES_ROUTE_MAX + 64).bits
-        for pos in (SERIES_ROUTE_MAX - 4, SERIES_ROUTE_MAX + 4):
-            assert digit_window(pos, 8) == reference[pos - 1 : pos + 7]
+    def test_seeded_windows_up_to_2_20_match_expansion(self, bits_past_2_20):
+        rng = random.Random(31)
+        for pos in _seeded_positions(29, 300):
+            width = rng.randint(1, 64)
+            if pos - 1 + width > PAST_2_20:
+                pos = PAST_2_20 - width + 1
+            assert digit_window(pos, width) == bits_past_2_20[pos - 1 : pos - 1 + width]
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -192,6 +220,19 @@ class TestFractionalEnclosure:
             # Both brackets contain frac(2**(n-1) E), so they intersect.
             assert enclosure.lower < cell_hi
             assert window_value <= enclosure.upper
+
+    def test_seeded_enclosures_up_to_2_20_match_expansion(self, bits_past_2_20):
+        # The reference bits b_n..b_{n+P-1} put frac(2**(n-1) E) in
+        # [v, v + 2**-P]; a rigorous enclosure must meet that cell.
+        rng = random.Random(37)
+        for n in _seeded_positions(41, 300):
+            precision = rng.randint(1, 48)
+            enclosure = fractional_part_enclosure(n, precision)
+            assert enclosure.width <= Fraction(1, 1 << precision)
+            cell = bits_past_2_20[n - 1 : n + 47]
+            v = Fraction(int(cell, 2), 1 << len(cell))
+            assert enclosure.lower <= v + Fraction(1, 1 << len(cell))
+            assert v <= enclosure.upper
 
     def test_membership_tristate(self):
         enclosure = FractionEnclosure(Fraction(7, 10), Fraction(8, 10))

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebconst.divisors import (
+    _SEGMENT,
     FACTOR_LIMIT,
     SieveBudgetError,
     divisor_count,
+    divisor_counts,
     divisor_sieve,
+    divisor_tail,
     factorize,
     is_prime,
     primes_in_range,
@@ -204,6 +207,66 @@ class TestDivisorSieve:
     def test_zero_limit_rejected(self):
         with pytest.raises(ValueError):
             divisor_sieve(0)
+
+
+class TestDivisorCounts:
+    def termwise(self, lo: int, count: int) -> list[int]:
+        return [divisor_count(lo + i) for i in range(count)]
+
+    def test_from_one_across_segments(self):
+        count = 2 * _SEGMENT + 5
+        assert divisor_counts(1, count) == [brute_divisor_count(n)
+                                            for n in range(1, count + 1)]
+
+    def test_many_segments_match_sieve(self):
+        lo, count = 10**6 - 3 * _SEGMENT, 3 * _SEGMENT + 17
+        table = divisor_sieve(lo + count - 1).counts
+        assert divisor_counts(lo, count) == table[lo:].tolist()
+
+    @pytest.mark.parametrize("lo,count", [
+        (9967**2 - 20, 41),          # p**2
+        (2**40 - 7, 15),             # p**k for p = 2
+        (3**29 - 5, 11),             # p**k for an odd prime
+        (9999991**2 - 30, 31),       # ends at p**2, p = isqrt(hi)
+        (9999973 * 9999991 - 8, 17),   # primes either side of isqrt(hi)
+        (10**13 + 37, 1),            # a single term
+    ])
+    def test_prime_power_and_root_intervals(self, lo, count):
+        assert divisor_counts(lo, count) == self.termwise(lo, count)
+
+    def test_seeded_intervals(self):
+        rng = random.Random(4711)
+        for _ in range(40):
+            lo = rng.randint(1, int(2**46.5))
+            count = rng.randint(1, 80)
+            assert divisor_counts(lo, count) == self.termwise(lo, count), lo
+
+    def test_interval_ending_at_factor_limit(self):
+        assert divisor_counts(FACTOR_LIMIT - 63, 64) == self.termwise(
+            FACTOR_LIMIT - 63, 64)
+        with pytest.raises(ValueError, match="supports n <="):
+            divisor_counts(FACTOR_LIMIT - 63, 65)
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            divisor_counts(0, 4)
+        with pytest.raises(ValueError):
+            divisor_counts(5, 0)
+
+
+class TestDivisorTail:
+    @pytest.mark.parametrize("start,count", [
+        (1, 1), (1, 64), (49, 14), (10**6 + 3, 40), (10**12 + 1, 70),
+        (2**44 - 17, 33), (5, 2 * _SEGMENT + 1),
+    ])
+    def test_matches_big_int_sum(self, start, count):
+        scaled, slack = divisor_tail(start, count)
+        assert scaled == sum(divisor_count(start + i) << (count - 1 - i)
+                             for i in range(count))
+        root = isqrt(start + count)
+        if root * root < start + count:
+            root += 1
+        assert slack == 2 * root + 2
 
 
 class TestProgressionDivisorSum:
