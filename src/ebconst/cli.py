@@ -85,9 +85,9 @@ def _cmd_scan(args) -> int:
                                     overlapping=not args.no_overlap)
     except (ValueError, OSError, CertificationError) as exc:
         return _fail(str(exc))
-    positions = list(report.positions)
-    if args.max_positions is not None and report.count > args.max_positions:
-        positions = None
+    positions = None
+    if args.max_positions is None or report.count <= args.max_positions:
+        positions = report.positions.tolist()
     if args.format == "tsv":
         shown = "" if positions is None else ",".join(map(str, positions))
         print(f"{report.pattern}\t{report.count}\t{shown}")

@@ -28,6 +28,27 @@ class ConstructionError(ValueError):
     """A construction invariant failed; the message names the relation."""
 
 
+class DigitContradictionError(RuntimeError):
+    """The digit checks disagree with a candidate's certified tail window.
+
+    The tail window proves the digits at n are "11", so this is a defect in
+    the digit engine or the tail check, never a bad candidate. Carries the
+    candidate (n, m, p) and both check results: window_ok (digit_window read
+    "11") and membership (the enclosure's [3/4, 1) membership, None when it
+    could not decide).
+    """
+
+    def __init__(self, n: int, m: int, p: int, window_ok: bool,
+                 membership: bool | None):
+        super().__init__(
+            f"digit verification contradicts the certified tail window "
+            f"at n={n} (m={m}, p={p}; window={window_ok}, "
+            f"enclosure={membership})"
+        )
+        self.n, self.m, self.p = n, m, p
+        self.window_ok, self.membership = window_ok, membership
+
+
 # ---------------------------------------------------------------------------
 # Tail estimates
 # ---------------------------------------------------------------------------
@@ -384,10 +405,7 @@ def search_witness(params: WitnessParams,
         if not certificate.checks["digits"]:
             # The tail window proves the digit claim; a disagreement with
             # the digit engine means a defect, not a bad candidate.
-            raise RuntimeError(
-                f"digit verification contradicts the certified tail window "
-                f"at n={n} (window={window_ok}, enclosure={membership})"
-            )
+            raise DigitContradictionError(n, m, p, window_ok, membership)
         return certificate
     return NoWitnessInRange(m_scanned=params.m_max, prime_hits=prime_hits)
 
@@ -434,7 +452,8 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
 
     A certificate whose tail span cutoff - k lies outside [0, 4096], or
     whose n + cutoff passes FACTOR_LIMIT, fails the tail check before any
-    divisor count is computed, and nothing else is checked.
+    divisor count is computed, and nothing else is checked. The tail check
+    also fails when the stored tail's n or k differs from the certificate's.
     """
     report = VerificationReport()
     n, k, cutoff = cert.n, cert.k, cert.tail.cutoff
@@ -508,7 +527,9 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     fresh = tail_estimate(n, k, cutoff)
     window_ok, window_index = tail_window(fresh)
     tail_ok = (
-        fresh.value == cert.tail.value
+        cert.tail.n == n
+        and cert.tail.k == k
+        and fresh.value == cert.tail.value
         and fresh.remainder_bound == cert.tail.remainder_bound
         and window_ok
         and window_index == cert.tail_window_index

@@ -120,16 +120,17 @@ def _pack_weighted(counts: np.ndarray, m: int) -> int:
     Bytes are assembled in one vectorized pass: terms are grouped eight to
     a byte position, three-byte group values are added at overlapping
     offsets, and carries are normalized before int.from_bytes. Entries
-    must be below 2**16, as in a DivisorTable; only that 16-bit table is
-    copied in full, and the 64-bit work arrays hold one entry per eight
-    terms.
+    must be below 2**16, as in a DivisorTable, so a group is below
+    2**16 * 255 < 2**24 and the work arrays fit in 32 bits; only the
+    16-bit table is copied in full, and the work arrays hold one entry per
+    eight terms.
     """
     c = np.zeros(-(-m // 8) * 8, np.uint16)
     c[:m] = counts[m:0:-1]  # c[i] weights 2**i
-    group = c[0::8].astype(np.int64)
+    group = c[0::8].astype(np.uint32)
     for i in range(1, 8):
-        group += c[i::8].astype(np.int64) << i
-    acc = np.zeros(len(group) + 3, np.int64)
+        group += c[i::8].astype(np.uint32) << i
+    acc = np.zeros(len(group) + 3, np.uint32)
     acc[: len(group)] += group & 0xFF
     acc[1 : len(group) + 1] += (group >> 8) & 0xFF
     acc[2 : len(group) + 2] += group >> 16
@@ -248,16 +249,23 @@ def fractional_part_enclosure(n: int, precision: int = 32) -> FractionEnclosure:
     )
 
 
+def _check_bits(s: str, name: str) -> np.ndarray:
+    """The characters of s as ASCII codes, after checking they are bits."""
+    raw = np.frombuffer(s.encode("ascii", "replace"), np.uint8)
+    if (raw - ord("0") > 1).any():
+        raise ValueError(f"{name} must contain only '0'/'1' characters")
+    return raw
+
+
 def bits_to_hex(bits: str) -> str:
     """Pack fractional bits four per character, most significant bit first.
 
-    A final partial nibble is zero-padded on the right.
+    A final partial nibble is zero-padded on the right. Any character
+    other than '0' or '1' raises ValueError.
     """
-    if not bits:
-        return ""
-    pad = (-len(bits)) % 4
-    padded = bits + "0" * pad
-    return format(int(padded, 2), "x").zfill(len(padded) // 4)
+    values = _check_bits(bits, "bits") - ord("0")
+    # packbits zero-pads the last byte; drop the hex digit a pad nibble makes.
+    return np.packbits(values).tobytes().hex()[: -(-len(values) // 4)]
 
 
 def hex_to_bits(hexdigits: str, precision: int) -> str:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .digits import _check_bits
 
 # All 2**block_len blocks are tabulated, so cap the table size.
 MAX_BLOCK_LEN = 20
@@ -13,19 +14,25 @@ MAX_BLOCK_LEN = 20
 
 @dataclass(frozen=True)
 class BlockScanReport:
+    """Matches of pattern in a digit string.
+
+    positions is a read-only 1-D int64 array of the 1-indexed match
+    starts, ascending; reports compare equal when every field, positions
+    element by element, is equal.
+    """
+
     pattern: str
     window: tuple[int, int]
     count: int
-    positions: tuple[int, ...]
+    positions: np.ndarray = field(hash=False)
     overlapping: bool
 
-
-def _check_bits(s: str, name: str) -> np.ndarray:
-    """The characters of s as ASCII codes, after checking they are bits."""
-    raw = np.frombuffer(s.encode("ascii", "replace"), np.uint8)
-    if (raw - ord("0") > 1).any():
-        raise ValueError(f"{name} must contain only '0'/'1' characters")
-    return raw
+    def __eq__(self, other):
+        if not isinstance(other, BlockScanReport):
+            return NotImplemented
+        return ((self.pattern, self.window, self.count, self.overlapping)
+                == (other.pattern, other.window, other.count, other.overlapping)
+                and np.array_equal(self.positions, other.positions))
 
 
 def scan_block(digits: str, pattern: str, overlapping: bool = True) -> BlockScanReport:
@@ -38,26 +45,27 @@ def scan_block(digits: str, pattern: str, overlapping: bool = True) -> BlockScan
         raise ValueError("pattern must be nonempty")
     raw = _check_bits(digits, "digits")
     pat = _check_bits(pattern, "pattern")
-    # Candidates start where the first character matches; each later
-    # character filters the survivors, so the cost follows their number.
-    idx = np.flatnonzero(raw[: max(len(raw) - len(pat) + 1, 0)] == pat[0])
+    n = max(len(raw) - len(pat) + 1, 0)
+    # One mask over every start, narrowed by each pattern character in turn.
+    mask = raw[:n] == pat[0]
     for j in range(1, len(pat)):
-        idx = idx[raw[idx + j] == pat[j]]
-    idx += 1
-    positions = idx.tolist()
+        mask &= raw[j : j + n] == pat[j]
+    positions = np.flatnonzero(mask).astype(np.int64, copy=False)
+    positions += 1
     if not overlapping:
         kept: list[int] = []
         free = 0
-        for i in positions:
+        for i in positions.tolist():
             if i >= free:
                 kept.append(i)
                 free = i + len(pat)
-        positions = kept
+        positions = np.array(kept, np.int64)
+    positions.setflags(write=False)
     return BlockScanReport(
         pattern=pattern,
         window=(1, len(digits)),
         count=len(positions),
-        positions=tuple(positions),
+        positions=positions,
         overlapping=overlapping,
     )
 
@@ -65,8 +73,8 @@ def scan_block(digits: str, pattern: str, overlapping: bool = True) -> BlockScan
 def block_frequency_table(digits: str, block_len: int) -> dict[str, int]:
     """Overlapping counts of every block of the given length.
 
-    All 2**block_len blocks appear as keys; the counts total
-    len(digits) - block_len + 1.
+    All 2**block_len blocks appear as keys, in ascending binary order; the
+    counts total len(digits) - block_len + 1.
     """
     if block_len < 1:
         raise ValueError("block_len must be >= 1")
@@ -74,8 +82,12 @@ def block_frequency_table(digits: str, block_len: int) -> dict[str, int]:
         raise ValueError("block_len exceeds the digit sequence length")
     if block_len > MAX_BLOCK_LEN:
         raise ValueError(f"block_len is capped at {MAX_BLOCK_LEN}")
-    _check_bits(digits, "digits")
-    table = {"".join(bits): 0 for bits in product("01", repeat=block_len)}
-    for i in range(len(digits) - block_len + 1):
-        table[digits[i : i + block_len]] += 1
-    return table
+    bits = _check_bits(digits, "digits") - ord("0")
+    n = len(bits) - block_len + 1
+    # Value of the block starting at each position, first bit most significant.
+    values = np.zeros(n, np.uint32)
+    for j in range(block_len):
+        values <<= 1
+        values |= bits[j : j + n]
+    counts = np.bincount(values, minlength=1 << block_len)
+    return {format(v, f"0{block_len}b"): c for v, c in enumerate(counts.tolist())}

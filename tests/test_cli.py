@@ -73,6 +73,8 @@ def test_scan_json():
     payload = json.loads(result.stdout)
     assert payload["count"] == 15
     assert payload["positions"][0] == 4
+    assert len(payload["positions"]) == 15
+    assert all(type(i) is int for i in payload["positions"])
 
 
 def test_scan_literal_digits_tsv():
@@ -144,6 +146,8 @@ def _edited(payload: dict, **changes) -> dict:
     "cutoff_below_k",
     "n_plus_cutoff_past_limit",
     "digit_check_past_limit",
+    "tail_n_differs",
+    "tail_k_differs",
 ])
 def test_verify_hostile_certificate_exits_2(certificate, hostile):
     k = certificate["k"]
@@ -159,6 +163,9 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
         # divisor counts past 10**14.
         "digit_check_past_limit": _edited(certificate, n=str(10**14 - 40),
                                           tail={"cutoff": k}),
+        "tail_n_differs": _edited(
+            certificate, tail={"n": str(int(certificate["tail"]["n"]) + 12345)}),
+        "tail_k_differs": _edited(certificate, tail={"k": 7}),
     }[hostile]
     result = run_cli("verify", "--stdin", stdin=json.dumps(payload))
     assert result.returncode == 2
@@ -166,6 +173,10 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
     assert result.stderr.startswith("error: ")
     if hostile.startswith(("cutoff", "n_plus")):
         assert result.stdout.startswith("tail\tFAIL\t")
+    if hostile.startswith("tail_"):
+        failed = [line.split("\t")[0] for line in result.stdout.splitlines()
+                  if "\tFAIL\t" in line]
+        assert failed == ["tail", "stored_flags"]
 
 
 def test_erdos_run_tsv():

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import ebconst
+
 from ebconst.construction import (
     ConstructionError,
+    DigitContradictionError,
     ErdosRunParams,
     NoWitnessInRange,
     WitnessParams,
@@ -160,6 +163,23 @@ class TestSearchWitness:
         assert isinstance(outcome, NoWitnessInRange)
         assert outcome.m_scanned == 0
 
+    def test_digit_contradiction_is_named(self, monkeypatch, desk_certificate):
+        import ebconst.construction as construction
+
+        monkeypatch.setattr(construction, "_digit_checks",
+                            lambda n: (False, None))
+        params = WitnessParams(k=3, prime_window=(5, 20), m_max=10**4)
+        system = build_witness_system(*select_primes(params))
+        with pytest.raises(DigitContradictionError) as caught:
+            search_witness(params, system)
+        error = caught.value
+        assert isinstance(error, RuntimeError)
+        assert ebconst.DigitContradictionError is DigitContradictionError
+        assert (error.n, error.m, error.p) == (
+            desk_certificate.n, desk_certificate.m, desk_certificate.p)
+        assert (error.window_ok, error.membership) == (False, None)
+        assert f"n={desk_certificate.n}" in str(error)
+
     def test_desk_certificate_all_checks(self, desk_certificate):
         cert = desk_certificate
         assert cert.all_checks_pass
@@ -217,6 +237,16 @@ class TestTamperDetection:
             assert not report.ok, name
             failures = {r.name for r in report.results if not r.passed}
             assert "stored_flags" in failures
+
+    @pytest.mark.parametrize("changes", [{"n": 12345}, {"k": 4}])
+    def test_stored_tail_bound_to_certificate(self, desk_certificate, changes):
+        tail = desk_certificate.tail
+        bad_tail = replace(tail, **{name: getattr(tail, name) + shift
+                                    for name, shift in changes.items()})
+        report = verify_certificate(replace(desk_certificate, tail=bad_tail))
+        assert not report.ok
+        failures = {r.name for r in report.results if not r.passed}
+        assert failures == {"tail", "stored_flags"}
 
     def test_corrupted_tail_value(self, desk_certificate):
         bad_tail = replace(desk_certificate.tail,

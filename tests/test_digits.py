@@ -248,6 +248,11 @@ class TestHexFormat:
         assert bits_to_hex("1") == "8"  # right-padded to a nibble
         assert bits_to_hex("") == ""
 
+    @pytest.mark.parametrize("bad", ["102", "1_0", " 10", "10 ", "1é0"])
+    def test_non_bits_rejected(self, bad):
+        with pytest.raises(ValueError):
+            bits_to_hex(bad)
+
     def test_round_trip(self, golden52):
         packed = bits_to_hex(golden52)
         assert hex_to_bits(packed, 52) == golden52

@@ -1,7 +1,11 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebconst.digits import expand_sieve
 from ebconst.scanner import block_frequency_table, scan_block
 
 
@@ -26,17 +30,51 @@ def test_golden_string_has_15_overlapping_11(golden52):
 
 def test_hand_checked_overlap():
     report = scan_block("111", "11")
-    assert report.positions == (1, 2)
+    assert report.positions.tolist() == [1, 2]
     assert report.count == 2
 
 
 def test_non_overlapping_mode():
     report = scan_block("111", "11", overlapping=False)
-    assert report.positions == (1,)
+    assert report.positions.tolist() == [1]
 
 
 def test_pattern_longer_than_digits():
     assert scan_block("10", "101").count == 0
+
+
+@pytest.mark.parametrize("digits,pattern", [("10", "101"), ("", "1"), ("", "11")])
+@pytest.mark.parametrize("overlapping", [True, False])
+def test_no_room_for_a_match(digits, pattern, overlapping):
+    report = scan_block(digits, pattern, overlapping=overlapping)
+    assert report.count == 0
+    assert report.positions.shape == (0,)
+    assert report.positions.dtype == np.int64
+    assert report.window == (1, len(digits))
+
+
+@pytest.mark.parametrize("overlapping", [True, False])
+def test_positions_are_read_only_int64(overlapping):
+    positions = scan_block("0110111", "11", overlapping=overlapping).positions
+    assert positions.dtype == np.int64 and positions.ndim == 1
+    with pytest.raises(ValueError):
+        positions[0] = 7
+
+
+def test_reports_compare_by_value():
+    report = scan_block("0110111", "11")
+    assert report == scan_block("0110111", "11")
+    assert report != scan_block("0111011", "11")  # same count, other starts
+    assert report != scan_block("0110111", "11", overlapping=False)
+    assert hash(report) == hash(scan_block("0110111", "11"))
+
+
+def test_expansion_past_2_20_matches_regex():
+    bits = expand_sieve(1 << 20).bits
+    report = scan_block(bits, "11")
+    expected = [m.start() + 1 for m in re.finditer("(?=11)", bits)]
+    assert report.count == len(expected)
+    assert report.positions.tolist() == expected
 
 
 def test_empty_pattern_rejected():
