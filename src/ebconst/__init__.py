@@ -5,7 +5,6 @@ provably occurs."""
 from .bounds import ln_bounds, sqrt_bounds
 from .construction import (
     ConstructionError,
-    DigitContradictionError,
     ErdosRunParams,
     ErdosRunResult,
     NoWitnessInRange,

@@ -149,8 +149,6 @@ def _cmd_verify(args) -> int:
         return _fail(f"certificate outside the supported range: {exc}")
     for result in report.results:
         print(f"{result.name}\t{'pass' if result.passed else 'FAIL'}\t{result.detail}")
-    for note in report.indeterminate:
-        print(f"indeterminate\t{note}", file=sys.stderr)
     if not report.ok:
         print("error: certificate failed verification", file=sys.stderr)
         return EXIT_USAGE

@@ -16,37 +16,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, prod
 
 from .crt import CongruenceSystem, crt_solve
-from .digits import digit_window, fractional_part_enclosure
+from .digits import digit_window
 from .divisors import (FACTOR_LIMIT, _isqrt_ceil, divisor_count, divisor_tail,
                        is_prime, primes_in_range, valuation)
 
 
 class ConstructionError(ValueError):
     """A construction invariant failed; the message names the relation."""
-
-
-class DigitContradictionError(RuntimeError):
-    """The digit checks disagree with a candidate's certified tail window.
-
-    The tail window proves the digits at n are "11", so this is a defect in
-    the digit engine or the tail check, never a bad candidate. Carries the
-    candidate (n, m, p) and both check results: window_ok (digit_window read
-    "11") and membership (the enclosure's [3/4, 1) membership, None when it
-    could not decide).
-    """
-
-    def __init__(self, n: int, m: int, p: int, window_ok: bool,
-                 membership: bool | None):
-        super().__init__(
-            f"digit verification contradicts the certified tail window "
-            f"at n={n} (m={m}, p={p}; window={window_ok}, "
-            f"enclosure={membership})"
-        )
-        self.n, self.m, self.p = n, m, p
-        self.window_ok, self.membership = window_ok, membership
 
 
 # ---------------------------------------------------------------------------
@@ -338,22 +317,15 @@ def _adaptive_cutoff(n: int, k: int) -> int:
     return k + span
 
 
-def _digit_checks(n: int) -> tuple[bool, bool | None]:
-    """(window says '11', enclosure membership of [3/4, 1) or None)."""
-    window_ok = digit_window(n, 2) == "11"
-    membership = None
-    for precision in (32, 64, 128, 256):
-        enclosure = fractional_part_enclosure(n, precision)
-        membership = enclosure.membership(Fraction(3, 4), Fraction(1))
-        if membership is not None:
-            break
-    return window_ok, membership
-
-
 def search_witness(params: WitnessParams,
                    system: WitnessSystem) -> WitnessCertificate | NoWitnessInRange:
     """Scan m = 0..m_max-1 ascending; the first candidate passing every
-    acceptance condition wins. Exhaustion is a structured result."""
+    acceptance condition wins. Exhaustion is a structured result.
+
+    Only primality of p and the tail window are tested per candidate; the
+    divisor pattern, d(n+2) = 6 and the digit claim follow from the
+    construction (see the comment in the loop), so nothing is factored.
+    """
     q0, A, B, r, s = system.q0, system.A, system.B, system.r, system.s
     prime_hits = 0
     for m in range(params.m_max):
@@ -362,28 +334,22 @@ def search_witness(params: WitnessParams,
             continue
         prime_hits += 1
         n = r + m * A
-        if n + 2 != q0 * q0 * p or divisor_count(n + 2) != 6:
+        if n + 2 != q0 * q0 * p:
             continue
-        if valuation(n + 2, q0) != 2:
-            continue
-        if any(divisor_count(n + j) % (1 << (j + 1)) for j in params.group_indices):
-            continue
+        # Once p is prime, every other check holds by construction, since
+        # build_witness_system proved its premises. s = 1 (mod q0) and
+        # q0 | B give p = 1 (mod q0), so p != q0 and n + 2 = q0^2 * p has
+        # d(n+2) = 6 and nu_q0(n+2) = 2. P_j^2 | A and r = P_j - j
+        # (mod P_j^2) give n + j = P_j (mod P_j^2), so P_j, a product of
+        # j+1 distinct primes, exactly divides n + j and 2^(j+1) | d(n+j).
+        # With the tail window below, frac(2^(n-1) E) lies in [3/4, 1)
+        # (CHECK_RELATIONS["tail"]), which is the digit claim.
         cutoff = params.tail_cutoff or _adaptive_cutoff(n, params.k)
         estimate = tail_estimate(n, params.k, cutoff)
         accepted, window_index = tail_window(estimate)
         if not accepted:
             continue
-        window_ok, membership = _digit_checks(n)
-        checks = {
-            "residues": True,
-            "s_properties": True,
-            "d6": True,
-            "valuation": True,
-            "divisibility_pattern": True,
-            "tail": True,
-            "digits": window_ok and membership is True,
-        }
-        certificate = WitnessCertificate(
+        return WitnessCertificate(
             k=params.k,
             q0=q0,
             groups=dict(system.groups),
@@ -400,13 +366,8 @@ def search_witness(params: WitnessParams,
             tail=estimate,
             tail_window_index=window_index,
             tail_below_half_k=tail_below_half_k(estimate),
-            checks=checks,
+            checks=dict.fromkeys(CHECK_NAMES, True),
         )
-        if not certificate.checks["digits"]:
-            # The tail window proves the digit claim; a disagreement with
-            # the digit engine means a defect, not a bad candidate.
-            raise DigitContradictionError(n, m, p, window_ok, membership)
-        return certificate
     return NoWitnessInRange(m_scanned=params.m_max, prime_hits=prime_hits)
 
 
@@ -431,24 +392,52 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     results: list[CheckResult] = field(default_factory=list)
-    indeterminate: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return all(r.passed for r in self.results) and not self.indeterminate
+        return all(r.passed for r in self.results)
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.results.append(CheckResult(name, passed, detail))
 
 
+def _pattern_holds(cert: WitnessCertificate) -> bool:
+    """Group j holds j+1 distinct primes with product P_j, and
+    n + j = P_j (mod P_j^2), for every 0 <= j < k, j != 2.
+
+    Then P_j exactly divides n + j, so 2^(j+1) | d(n+j) with nothing
+    factored. The group keys are checked without listing range(k), and the
+    congruence bounds P_j by n + j before Miller-Rabin sees a group prime.
+    """
+    k = cert.k
+    if len(cert.groups) != max(k, 0) - (k > 2):
+        return False
+    for j, group in cert.groups.items():
+        pj = cert.prime_products.get(j)
+        if not (0 <= j < k and j != 2
+                and len(set(group)) == len(group) == j + 1
+                and pj == prod(group) and pj > 1
+                and (cert.n + j) % (pj * pj) == pj
+                and all(is_prime(q) for q in group)):
+            return False
+    return True
+
+
 def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     """Re-derive every certified property from scratch.
 
-    Nothing stored in the certificate is trusted: products, the CRT
-    residue, divisor counts, the tail enclosure and the digit claim are all
-    recomputed. The digit claim is checked by both the positional window
-    and the fractional-part enclosure; these two and the tail check all
-    read the same divisor-tail sum, so they are not independent of it.
+    Nothing stored in the certificate is trusted. residues rebuilds the
+    system from q0 and the groups and compares P_j, A, B and r with the
+    certificate's. s_properties, d6, valuation and divisibility_pattern are
+    congruences and equalities plus the primality of p, q0 and the group
+    primes: d(n+2) = 6 follows from n + 2 = q0^2 * p with p != q0 both
+    prime, and 2^(j+1) | d(n+j) from n + j = P_j (mod P_j^2), so no term is
+    factored. tail recomputes the tail enclosure. digits is derived, not
+    computed: d6, the pattern and the recomputed tail window together place
+    frac(2**(n-1) E) in [3/4, 1) (CHECK_RELATIONS["tail"]). One
+    digit_window(n, 2) == "11" is also required, as a check that the digit
+    engine agrees; it reads the same divisor-tail sum as the tail check, so
+    it is not independent of it.
 
     A certificate whose tail span cutoff - k lies outside [0, 4096], or
     whose n + cutoff passes FACTOR_LIMIT, fails the tail check before any
@@ -465,34 +454,18 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
                    f"{FACTOR_LIMIT}; nothing was recomputed")
         return report
 
-    products = {j: 1 for j in cert.groups}
-    for j, members in cert.groups.items():
-        for p in members:
-            products[j] *= p
-    expected_a = cert.q0**3
-    for j in sorted(products):
-        expected_a *= products[j] ** 2
-    residue_parts = [
-        products == cert.prime_products,
-        expected_a == cert.A,
-        cert.B * cert.q0**2 == cert.A,
-        0 <= cert.r < cert.A,
-        cert.r % cert.q0**3 == (cert.q0**2 - 2) % cert.q0**3,
-    ]
-    for j in sorted(products):
-        pj = products[j]
-        residue_parts.append(cert.r % pj**2 == (pj - j) % pj**2)
     try:
         rebuilt = build_witness_system(
             cert.q0, {j: list(g) for j, g in cert.groups.items()}
         )
-        residue_parts.append(rebuilt.r == cert.r)
     except (ConstructionError, ValueError) as exc:
-        residue_parts.append(False)
         report.add("residues", False, f"rebuild failed: {exc}")
-        rebuilt = None
-    if rebuilt is not None:
-        report.add("residues", all(residue_parts), CHECK_RELATIONS["residues"])
+    else:
+        residues_ok = (
+            rebuilt.prime_products == cert.prime_products
+            and (rebuilt.A, rebuilt.B, rebuilt.r) == (cert.A, cert.B, cert.r)
+        )
+        report.add("residues", residues_ok, CHECK_RELATIONS["residues"])
 
     s_ok = (
         (cert.r + 2) % cert.q0**2 == 0
@@ -503,24 +476,24 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     )
     report.add("s_properties", s_ok, CHECK_RELATIONS["s_properties"])
 
-    p = cert.p
+    # The equalities come first: they bound p by n <= FACTOR_LIMIT before
+    # Miller-Rabin sees it.
+    p, q0 = cert.p, cert.q0
     d6_ok = (
         p == cert.s + cert.m * cert.B
-        and is_prime(p)
         and n == cert.r + cert.m * cert.A
-        and n + 2 == cert.q0**2 * p
-        and divisor_count(n + 2) == 6
-        and n + 2 >= 2 * cert.q0**2
+        and n + 2 == q0 * q0 * p
+        and p != q0
+        and is_prime(p)
+        and is_prime(q0)
+        and n + 2 >= 2 * q0 * q0
     )
     report.add("d6", d6_ok, CHECK_RELATIONS["d6"])
 
-    report.add("valuation", valuation(n + 2, cert.q0) == 2,
+    report.add("valuation", valuation(n + 2, q0) == 2,
                CHECK_RELATIONS["valuation"])
 
-    pattern_ok = all(
-        divisor_count(n + j) % (1 << (j + 1)) == 0
-        for j in range(k) if j != 2
-    )
+    pattern_ok = _pattern_holds(cert)
     report.add("divisibility_pattern", pattern_ok,
                CHECK_RELATIONS["divisibility_pattern"])
 
@@ -536,15 +509,9 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     )
     report.add("tail", tail_ok, CHECK_RELATIONS["tail"])
 
-    window_bits_ok, membership = _digit_checks(n)
-    if membership is None:
-        report.indeterminate.append(
-            "fractional enclosure straddles 3/4 or 1; retry at higher precision"
-        )
-        report.add("digits", False, "enclosure membership indeterminate")
-    else:
-        report.add("digits", window_bits_ok and membership,
-                   CHECK_RELATIONS["digits"])
+    engine_agrees = digit_window(n, 2) == "11"
+    report.add("digits", d6_ok and pattern_ok and window_ok and engine_agrees,
+               CHECK_RELATIONS["digits"])
 
     # The stored flags themselves are untrusted input: they must agree
     # with what was just recomputed, or the certificate was altered.

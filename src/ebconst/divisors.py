@@ -189,7 +189,10 @@ def divisor_counts(lo: int, count: int) -> list[int]:
         raise ValueError("divisor_counts requires lo, count >= 1")
     hi = lo + count - 1
     if hi > FACTOR_LIMIT:
-        raise ValueError(f"factorize supports n <= {FACTOR_LIMIT}, got {hi}")
+        raise ValueError(
+            f"divisor_counts supports n <= {FACTOR_LIMIT}, the exact "
+            f"divisor-count ceiling of this implementation; got n = {hi}"
+        )
     root = isqrt(hi)
     _extend_primes(root)
     primes = _prime_array[: np.searchsorted(_prime_array, root, side="right")]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -110,6 +111,19 @@ def test_witness_exhausted_exits_3():
     result = run_cli("witness", "--k", "3", "--window", "5:20", "--m-max", "2")
     assert result.returncode == 3
     assert "no witness in range" in result.stderr
+
+
+def test_witness_past_divisor_count_ceiling_exits_2():
+    # k = 4 at 5:60 scans n near 2^66; the tail needs exact divisor counts,
+    # which stop at 10^14: a capability limit, named and reached quickly.
+    start = time.perf_counter()
+    result = run_cli("witness", "--k", "4", "--window", "5:60")
+    assert time.perf_counter() - start < 10
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+    assert "supports n <= 100000000000000" in result.stderr
 
 
 def test_verify_rejects_tampered_certificate(tmp_path):

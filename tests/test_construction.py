@@ -5,11 +5,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-import ebconst
-
 from ebconst.construction import (
     ConstructionError,
-    DigitContradictionError,
     ErdosRunParams,
     NoWitnessInRange,
     WitnessParams,
@@ -25,7 +22,8 @@ from ebconst.construction import (
     tail_window,
     verify_certificate,
 )
-from ebconst.divisors import divisor_count
+from ebconst.digits import fractional_part_enclosure
+from ebconst.divisors import divisor_count, is_prime, valuation
 
 
 @pytest.fixture(scope="module")
@@ -163,23 +161,6 @@ class TestSearchWitness:
         assert isinstance(outcome, NoWitnessInRange)
         assert outcome.m_scanned == 0
 
-    def test_digit_contradiction_is_named(self, monkeypatch, desk_certificate):
-        import ebconst.construction as construction
-
-        monkeypatch.setattr(construction, "_digit_checks",
-                            lambda n: (False, None))
-        params = WitnessParams(k=3, prime_window=(5, 20), m_max=10**4)
-        system = build_witness_system(*select_primes(params))
-        with pytest.raises(DigitContradictionError) as caught:
-            search_witness(params, system)
-        error = caught.value
-        assert isinstance(error, RuntimeError)
-        assert ebconst.DigitContradictionError is DigitContradictionError
-        assert (error.n, error.m, error.p) == (
-            desk_certificate.n, desk_certificate.m, desk_certificate.p)
-        assert (error.window_ok, error.membership) == (False, None)
-        assert f"n={desk_certificate.n}" in str(error)
-
     def test_desk_certificate_all_checks(self, desk_certificate):
         cert = desk_certificate
         assert cert.all_checks_pass
@@ -192,7 +173,6 @@ class TestSearchWitness:
     def test_verification_from_scratch(self, desk_certificate):
         report = verify_certificate(desk_certificate)
         assert report.ok
-        assert not report.indeterminate
         names = [r.name for r in report.results]
         for expected in ("residues", "s_properties", "d6", "valuation",
                          "divisibility_pattern", "tail", "digits"):
@@ -216,6 +196,7 @@ class TestTamperDetection:
         cases = [
             ("A", desk_certificate.A + 25, "residues"),
             ("r", desk_certificate.r + 1, "residues"),
+            ("prime_products", {0: 7, 1: 143 * 17}, "residues"),
             ("s", desk_certificate.s + desk_certificate.q0, "s_properties"),
             ("p", desk_certificate.p + 2, "d6"),
             ("n", desk_certificate.n + desk_certificate.A, "d6"),
@@ -279,6 +260,109 @@ class TestVerifyWorkBound:
             replace(cert, n=cert.n + n_shift, tail=tail))
         assert not report.ok
         assert [(r.name, r.passed) for r in report.results] == [("tail", False)]
+
+
+def _prime_hits(params, system, m_limit, limit=None):
+    """(m, n) for every m < m_limit with s + m*B prime, first `limit` only."""
+    hits = []
+    for m in range(m_limit):
+        if is_prime(system.s + m * system.B):
+            hits.append((m, system.r + m * system.A))
+            if len(hits) == limit:
+                break
+    return hits
+
+
+class TestDerivedClaims:
+    """The construction implies d(n+2) = 6, the divisor pattern and the
+    digit claim, so search and verify factor nothing; factoring runs here
+    as the oracle."""
+
+    @pytest.mark.parametrize("primes", [
+        (5, 7, 11, 13),          # the desk system, prime window 5:20
+        (7, 11, 13, 17),
+        (11, 13, 17, 19),
+        (5, 23, 29, 31),
+    ])
+    def test_k3_prime_hits_have_the_pattern(self, primes):
+        params = WitnessParams(k=3, primes=primes)
+        system = build_witness_system(*select_primes(params))
+        hits = _prime_hits(params, system, 200)
+        assert len(hits) >= 5
+        for m, n in hits:
+            assert divisor_count(n + 2) == 6, m
+            assert valuation(n + 2, system.q0) == 2, m
+            for j in params.group_indices:
+                assert divisor_count(n + j) % (1 << (j + 1)) == 0, (m, j)
+
+    def test_k4_prime_hits_past_the_ceiling(self):
+        params = WitnessParams(k=4, prime_window=(5, 60))
+        system = build_witness_system(*select_primes(params))
+        hits = _prime_hits(params, system, 10**4, limit=3)
+        assert [m for m, _ in hits] == [10, 26, 68]
+        for m, n in hits:
+            assert n > 10**14  # past the exact divisor-count ceiling
+            assert sympy.divisor_count(n + 2) == 6, m
+            for j in params.group_indices:
+                assert sympy.divisor_count(n + j) % (1 << (j + 1)) == 0, (m, j)
+
+    @pytest.mark.parametrize("primes", [
+        (5, 7, 11, 13), (7, 11, 13, 17), (11, 13, 17, 19), (5, 23, 29, 31),
+    ])
+    def test_accepted_digits_lie_in_the_top_quarter(self, primes):
+        cert = run_witness_pipeline(WitnessParams(k=3, primes=primes))
+        assert not isinstance(cert, NoWitnessInRange)
+        enclosure = fractional_part_enclosure(cert.n, 64)
+        assert enclosure.membership(Fraction(3, 4), Fraction(1)) is True
+
+    def test_search_and_verify_factor_nothing(self, monkeypatch):
+        import ebconst.construction as construction
+        import ebconst.divisors as divisors
+
+        def forbidden(*args):
+            raise AssertionError("factored on the witness path")
+
+        monkeypatch.setattr(construction, "divisor_count", forbidden)
+        monkeypatch.setattr(divisors, "factorize", forbidden)
+        cert = run_witness_pipeline(
+            WitnessParams(k=3, prime_window=(5, 20), m_max=10**4))
+        assert verify_certificate(cert).ok
+
+    def test_prime_moved_between_groups(self, desk_certificate):
+        tampered = replace(desk_certificate, groups={0: (7, 11), 1: (13,)})
+        failures = {r.name for r in verify_certificate(tampered).results
+                    if not r.passed}
+        assert {"divisibility_pattern", "digits"} <= failures
+
+    def test_group_sizes_checked(self):
+        # A consistent system whose groups have the wrong sizes: every
+        # congruence holds, so only the group-size rule can reject it.
+        params = WitnessParams(k=3, prime_window=(5, 20), m_max=10**4)
+        system = build_witness_system(5, {0: [7, 11], 1: [13]})
+        cert = search_witness(params, system)
+        assert not isinstance(cert, NoWitnessInRange)
+        failures = {r.name for r in verify_certificate(cert).results
+                    if not r.passed}
+        assert failures == {"divisibility_pattern", "digits", "stored_flags"}
+
+    @pytest.mark.parametrize("p", [5, 77])  # p = q0, and p composite
+    def test_d6_needs_a_prime_p_other_than_q0(self, desk_certificate, p):
+        # Every d6 equality holds (m = 0, s = p, r = n = q0^2 * p - 2), so
+        # only p != q0 or the primality of p can fail it.
+        n = 25 * p - 2
+        tampered = replace(desk_certificate, s=p, m=0, p=p, r=n, n=n)
+        failures = {r.name for r in verify_certificate(tampered).results
+                    if not r.passed}
+        assert {"d6", "digits"} <= failures
+
+    def test_digits_need_the_tail_window(self, desk_certificate):
+        # cutoff = k leaves the remainder bound too wide for any window;
+        # the digits at n are still "11", but the derivation fails.
+        cert = desk_certificate
+        tampered = replace(cert, tail=replace(cert.tail, cutoff=cert.k))
+        failures = {r.name for r in verify_certificate(tampered).results
+                    if not r.passed}
+        assert {"tail", "digits"} <= failures
 
 
 class TestCertificateJson:

@@ -253,6 +253,17 @@ class TestHexFormat:
         with pytest.raises(ValueError):
             bits_to_hex(bad)
 
+    @pytest.mark.parametrize("hexdigits,precision", [
+        (" 9b", 12), ("9_b", 12), ("+9b", 12), ("9b ", 12), ("9b\n", 12),
+        ("0x9b", 16), ("9B", 8), ("9\u00e9", 8),   # not a lowercase hex digit
+        ("9b", 20), ("9b", 4), ("", 4), ("9", 0),   # wrong digit count
+        ("9", 1), ("9d", 7),                        # pad bits not zero
+        ("9b", -1),
+    ])
+    def test_non_hex_rejected(self, hexdigits, precision):
+        with pytest.raises(ValueError):
+            hex_to_bits(hexdigits, precision)
+
     def test_round_trip(self, golden52):
         packed = bits_to_hex(golden52)
         assert hex_to_bits(packed, 52) == golden52
