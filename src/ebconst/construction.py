@@ -20,8 +20,8 @@ from math import floor, gcd, prod
 
 from .crt import CongruenceSystem, crt_solve
 from .digits import digit_window
-from .divisors import (FACTOR_LIMIT, _isqrt_ceil, divisor_count, divisor_tail,
-                       is_prime, primes_in_range, valuation)
+from .divisors import (FACTOR_LIMIT, divisor_count, divisor_tail, is_prime,
+                       primes_in_range, tail_majorant, valuation)
 
 
 class ConstructionError(ValueError):
@@ -37,7 +37,7 @@ class TailEstimate:
     """Enclosure of T = sum_{l>=k} d(n+l)/2**l.
 
     value is the exact partial sum over k <= l <= cutoff; remainder_bound
-    dominates the omitted sum over l > cutoff via d(N) <= 2*sqrt(N), so
+    dominates the omitted sum over l > cutoff, so
     value <= T <= value + remainder_bound.
     """
 
@@ -53,12 +53,8 @@ class TailEstimate:
 
 
 def tail_estimate(n: int, k: int, cutoff: int) -> TailEstimate:
-    """Exact truncated tail plus a rigorous remainder bound.
-
-    The remainder uses sum_{l>cutoff} 2*sqrt(n+l)*2**-l
-    <= (2*sqrt(n+cutoff+1) + 2) * 2**-cutoff, from sqrt(a+b) <= sqrt(a)+sqrt(b)
-    and sum_{t>=0} sqrt(t)*2**-t < 2.
-    """
+    """Exact truncated tail plus the remainder bound
+    tail_majorant(n + cutoff + 1) * 2**-cutoff."""
     if n < 1:
         raise ValueError("tail_estimate requires n >= 1")
     if k < 0 or cutoff < k:
@@ -99,6 +95,9 @@ def tail_below_half_k(estimate: TailEstimate) -> bool:
 ADAPTIVE_CUTOFF_SPAN = 64
 # Largest tail span cutoff - k that search may use and verify will compute.
 _CUTOFF_SPAN_CAP = 4096
+# Largest k verify accepts: P_{k-1}, a product of k distinct primes, divides
+# n + k - 1 <= FACTOR_LIMIT + k, and the first 13 primes multiply to > 3*10**14.
+_VERIFY_K_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -136,8 +135,8 @@ class WitnessParams:
 
     @property
     def required_primes(self) -> int:
-        # 1 + sum_{j != 2} (j+1) = k(k+1)/2 - 2
-        return 1 + sum(j + 1 for j in self.group_indices)
+        # 1 + sum_{j != 2} (j+1) = k(k+1)/2 - 2, without listing range(k)
+        return self.k * (self.k + 1) // 2 - 2
 
 
 def select_primes(params: WitnessParams) -> tuple[int, dict[int, list[int]]]:
@@ -309,8 +308,7 @@ def _adaptive_cutoff(n: int, k: int) -> int:
     """cutoff = k + 64, doubled until 4*remainder_bound <= 2**(-k/2)."""
     span = ADAPTIVE_CUTOFF_SPAN
     while span < _CUTOFF_SPAN_CAP:
-        root = _isqrt_ceil(n + k + span + 1)
-        rem = Fraction(2 * root + 2, 1 << (k + span))
+        rem = Fraction(tail_majorant(n + k + span + 1), 1 << (k + span))
         if 16 * rem * rem * (1 << k) <= 1:
             break
         span *= 2
@@ -439,17 +437,18 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     engine agrees; it reads the same divisor-tail sum as the tail check, so
     it is not independent of it.
 
-    A certificate whose tail span cutoff - k lies outside [0, 4096], or
-    whose n + cutoff passes FACTOR_LIMIT, fails the tail check before any
-    divisor count is computed, and nothing else is checked. The tail check
-    also fails when the stored tail's n or k differs from the certificate's.
+    A certificate with k > 12, a tail span cutoff - k outside [0, 4096],
+    or n + cutoff past FACTOR_LIMIT fails the tail check before any divisor
+    count is computed, and nothing else is checked. The tail check also
+    fails when the stored tail's n or k differs from the certificate's.
     """
     report = VerificationReport()
     n, k, cutoff = cert.n, cert.k, cert.tail.cutoff
-    if not (0 <= k <= cutoff <= k + _CUTOFF_SPAN_CAP
+    if not (0 <= k <= _VERIFY_K_CAP and k <= cutoff <= k + _CUTOFF_SPAN_CAP
             and 1 <= n <= FACTOR_LIMIT - cutoff):
         report.add("tail", False,
-                   f"tail span cutoff - k = {cutoff - k} must lie in "
+                   f"k = {k} must not exceed {_VERIFY_K_CAP}, tail span "
+                   f"cutoff - k = {cutoff - k} must lie in "
                    f"[0, {_CUTOFF_SPAN_CAP}] and n + cutoff must not exceed "
                    f"{FACTOR_LIMIT}; nothing was recomputed")
         return report
@@ -467,10 +466,13 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
         )
         report.add("residues", residues_ok, CHECK_RELATIONS["residues"])
 
+    p, q0 = cert.p, cert.q0
+    q0_prime = is_prime(q0)  # guards the divisions by q0 and valuation
     s_ok = (
-        (cert.r + 2) % cert.q0**2 == 0
-        and cert.s == (cert.r + 2) // cert.q0**2
-        and cert.s % cert.q0 == 1
+        q0_prime
+        and (cert.r + 2) % q0**2 == 0
+        and cert.s == (cert.r + 2) // q0**2
+        and cert.s % q0 == 1
         and 1 <= cert.s < cert.B
         and gcd(cert.s, cert.B) == 1
     )
@@ -478,19 +480,18 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
 
     # The equalities come first: they bound p by n <= FACTOR_LIMIT before
     # Miller-Rabin sees it.
-    p, q0 = cert.p, cert.q0
     d6_ok = (
         p == cert.s + cert.m * cert.B
         and n == cert.r + cert.m * cert.A
         and n + 2 == q0 * q0 * p
         and p != q0
         and is_prime(p)
-        and is_prime(q0)
+        and q0_prime
         and n + 2 >= 2 * q0 * q0
     )
     report.add("d6", d6_ok, CHECK_RELATIONS["d6"])
 
-    report.add("valuation", valuation(n + 2, q0) == 2,
+    report.add("valuation", q0_prime and valuation(n + 2, q0) == 2,
                CHECK_RELATIONS["valuation"])
 
     pattern_ok = _pattern_holds(cert)

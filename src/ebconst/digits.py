@@ -4,11 +4,10 @@ Two independent expansion algorithms (reciprocal series and divisor-sieve
 series) plus positional digit extraction, which reads the bits at
 position n from the divisor route frac(2**(n-1) E) = frac(sum_l
 d(n+l)/2**(l+1)) over one short run of divisor counts. Every emitted digit
-is certified: the algorithm tracks an exact integer enclosure
-[lower, lower + slack] of the scaled value, and digits are released only
-when both ends of the enclosure agree on them after guard bits are
-discarded. Position 1 is the first bit after the binary point; the integer
-part (1 for E) is kept separately.
+is certified by one loop, _certify: each path encloses its scaled value in
+exact integers [lower, lower + slack], and digits are released only when
+both ends agree once the guard bits are discarded. Position 1 is the first
+bit after the binary point; the integer part (1 for E) is kept separately.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .divisors import _isqrt_ceil, divisor_sieve, divisor_tail
+from .divisors import divisor_sieve, divisor_tail, tail_majorant
 
 _RETRY_CAP = 10
 
@@ -33,7 +32,8 @@ class DigitExpansion:
 
     bits[0] is position 1 (first bit after the binary point); certified
     means the lower/upper enclosure of 2**(precision+guard_bits) * E agreed
-    on every emitted bit after the guard bits were discarded.
+    on every emitted bit after the guard bits were discarded. terms_used
+    counts the series terms summed in that accepted attempt.
     """
 
     precision: int
@@ -70,22 +70,38 @@ def _ceil_log2(x: int) -> int:
     return (x - 1).bit_length() if x > 1 else 0
 
 
-def _initial_guard(n_bits: int) -> int:
-    return _ceil_log2(n_bits) + 8
+def _certify(enclose, keep: int, guard: int) -> tuple[int, int, int]:
+    """(lower, slack, guard) of the first enclosure whose ends agree above
+    the guard bits, which implies slack < 2**guard.
+
+    enclose(work) brackets the value scaled by 2**work, work = keep + guard,
+    as [lower, lower + slack]. On a straddle a guard carry could flip a
+    kept bit, so the guard doubles, at most _RETRY_CAP times.
+    """
+    for _ in range(_RETRY_CAP + 1):
+        lower, slack = enclose(keep + guard)
+        if lower >> guard == (lower + slack) >> guard:
+            return lower, slack, guard
+        guard *= 2
+    raise CertificationError(f"enclosure of {keep} bits failed to certify "
+                             f"after {_RETRY_CAP} guard doublings")
 
 
-def _emit(scaled_lower: int, slack: int, precision: int, guard: int):
-    """Digits shared by the whole enclosure, or None if any guard carry
-    could still flip them."""
-    if (scaled_lower >> guard) != ((scaled_lower + slack) >> guard):
-        return None
-    value = scaled_lower >> guard
-    integer_part = value >> precision
-    bits = format(value & ((1 << precision) - 1), "b").zfill(precision)
-    return integer_part, bits
+def _bits(value: int, width: int) -> str:
+    return format(value & ((1 << width) - 1), "b").zfill(width)
 
 
-def expand_naive(precision: int, *, guard_bits: int | None = None) -> DigitExpansion:
+def _expansion(precision: int, method: str, enclose, extra: int) -> DigitExpansion:
+    """Certified expansion of E; enclose(work) sums work + extra terms."""
+    if precision < 1:
+        raise ValueError("precision must be >= 1")
+    lower, _, guard = _certify(enclose, precision, _ceil_log2(precision) + 8)
+    value = lower >> guard
+    return DigitExpansion(precision, value >> precision, _bits(value, precision),
+                          guard, precision + guard + extra, method, True)
+
+
+def expand_naive(precision: int) -> DigitExpansion:
     """Expansion from sum_a 1/(2**a - 1), one big floor-division per term.
 
     With K = precision + guard + 1 terms, each floored term loses < 1 ulp
@@ -93,25 +109,11 @@ def expand_naive(precision: int, *, guard_bits: int | None = None) -> DigitExpan
     value lies in [sum, sum + K + 1]. This is the oracle method; the sieve
     method is the fast path at large precision.
     """
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    guard = _initial_guard(precision) if guard_bits is None else guard_bits
-    for _ in range(_RETRY_CAP + 1):
-        terms = precision + guard + 1
-        scale = 1 << (precision + guard)
-        lower = 0
-        for a in range(1, terms + 1):
-            lower += scale // ((1 << a) - 1)
-        emitted = _emit(lower, terms + 1, precision, guard)
-        if emitted is not None:
-            integer_part, bits = emitted
-            return DigitExpansion(precision, integer_part, bits, guard,
-                                  terms, "naive", True)
-        guard *= 2
-    raise CertificationError(
-        f"naive expansion of {precision} bits failed to certify after "
-        f"{_RETRY_CAP} guard doublings"
-    )
+    def enclose(work: int) -> tuple[int, int]:
+        scale = 1 << work
+        return sum(scale // ((1 << a) - 1) for a in range(1, work + 2)), work + 2
+
+    return _expansion(precision, "naive", enclose, 1)
 
 
 def _pack_weighted(counts: np.ndarray, m: int) -> int:
@@ -143,33 +145,17 @@ def _pack_weighted(counts: np.ndarray, m: int) -> int:
     return int.from_bytes(acc.astype(np.uint8).tobytes(), "little")
 
 
-def expand_sieve(precision: int, *, guard_bits: int | None = None,
-                 memory_budget: int | None = None) -> DigitExpansion:
+def expand_sieve(precision: int, *, memory_budget: int | None = None) -> DigitExpansion:
     """Expansion from sum_n d(n)/2**n over a divisor-count table.
 
-    The partial sum over n <= precision+guard is exact; the omitted tail
-    obeys sum_{n>m} 2*sqrt(n)*2**-n <= 8*sqrt(m)*2**-m (from
-    d(n) <= 2*sqrt(n) and sqrt(m+t) <= sqrt(m)+sqrt(t)), compared here as
-    exact integers at scale 2**m.
+    At scale 2**m the packed table is divisor_tail(1, m), the exact sum
+    over n <= m, so the omitted terms add at most tail_majorant(m + 1).
     """
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
-    guard = _initial_guard(precision) if guard_bits is None else guard_bits
-    for _ in range(_RETRY_CAP + 1):
-        m = precision + guard
+    def enclose(m: int) -> tuple[int, int]:
         table = divisor_sieve(m, memory_budget=memory_budget)
-        lower = _pack_weighted(table.counts, m)
-        slack = 8 * _isqrt_ceil(m)
-        emitted = _emit(lower, slack, precision, guard)
-        if emitted is not None:
-            integer_part, bits = emitted
-            return DigitExpansion(precision, integer_part, bits, guard,
-                                  m, "sieve", True)
-        guard *= 2
-    raise CertificationError(
-        f"sieve expansion of {precision} bits failed to certify after "
-        f"{_RETRY_CAP} guard doublings"
-    )
+        return _pack_weighted(table.counts, m), tail_majorant(m + 1)
+
+    return _expansion(precision, "sieve", enclose, 0)
 
 
 def _frac_series_scaled(pos: int, work_bits: int) -> tuple[int, int]:
@@ -193,60 +179,31 @@ def _frac_series_scaled(pos: int, work_bits: int) -> tuple[int, int]:
     return lower, top
 
 
-def _frac_divisor_scaled(pos: int, work_bits: int) -> tuple[int, int]:
-    """Same enclosure via frac(2**(pos-1) E) = frac(sum d(pos+l)/2**(l+1)).
-
-    Terms d(t)/2**t with t < pos are integers at this scaling and drop out
-    of the fractional part, so only divisor counts near pos matter. The
-    partial sum over l < work_bits is exact; with W = work_bits the tail is
-    at most sum_{l>=W} sqrt(pos+l)*2**-l <= (2*sqrt(pos+W) + 2) * 2**-W.
-    """
-    return divisor_tail(pos, work_bits)
+def _frac_enclosure(pos: int, keep: int) -> tuple[int, int, int]:
+    """(lower, slack, work): frac(2**(pos-1) E) lies in [lower, lower +
+    slack] / 2**work, certified on keep bits, by the divisor route (the
+    terms d(t)/2**t with t < pos are integers at this scaling)."""
+    lower, slack, guard = _certify(lambda work: divisor_tail(pos, work), keep,
+                                   _ceil_log2(tail_majorant(pos)) + 8)
+    work = keep + guard
+    return lower & ((1 << work) - 1), slack, work
 
 
 def digit_window(pos: int, width: int) -> str:
-    """Bits of E at positions pos..pos+width-1 without earlier digits.
-
-    Works at whatever fixed-point precision makes the enclosure decide all
-    width bits; on a straddle the working precision is enlarged and the
-    computation retried.
-    """
+    """Bits of E at positions pos..pos+width-1 without earlier digits."""
     if pos < 1 or width < 1:
         raise ValueError("pos and width must be >= 1")
-    extra = 0
-    for _ in range(_RETRY_CAP + 1):
-        work = width + _ceil_log2(2 * _isqrt_ceil(pos) + 2) + 8 + extra
-        lower, slack = _frac_divisor_scaled(pos, work)
-        if (lower >> work) == ((lower + slack) >> work):
-            frac_lower = lower - ((lower >> work) << work)
-            drop = work - width
-            if (frac_lower >> drop) == ((frac_lower + slack) >> drop):
-                return format(frac_lower >> drop, "b").zfill(width)
-        extra = 8 if extra == 0 else 2 * extra
-    raise CertificationError(
-        f"window at position {pos} (width {width}) failed to certify"
-    )
+    lower, _, work = _frac_enclosure(pos, width)
+    return _bits(lower >> (work - width), width)
 
 
 def fractional_part_enclosure(n: int, precision: int = 32) -> FractionEnclosure:
-    """Rigorous enclosure of frac(2**(n-1) * E) of width <= 2**-precision."""
+    """Rigorous enclosure of frac(2**(n-1) * E) of width < 2**-precision."""
     if n < 1 or precision < 1:
         raise ValueError("n and precision must be >= 1")
-    extra = 0
-    for _ in range(_RETRY_CAP + 1):
-        work = precision + 4 + extra + _ceil_log2(2 * _isqrt_ceil(n) + 2)
-        lower, slack = _frac_divisor_scaled(n, work)
-        whole = lower >> work
-        if whole == ((lower + slack) >> work) and slack <= (1 << (work - precision)):
-            base = whole << work
-            return FractionEnclosure(
-                Fraction(lower - base, 1 << work),
-                Fraction(lower + slack - base, 1 << work),
-            )
-        extra = 8 if extra == 0 else 2 * extra
-    raise CertificationError(
-        f"fractional enclosure at n={n} failed to reach width 2**-{precision}"
-    )
+    lower, slack, work = _frac_enclosure(n, precision)
+    return FractionEnclosure(Fraction(lower, 1 << work),
+                             Fraction(lower + slack, 1 << work))
 
 
 def _check_bits(s: str, name: str) -> np.ndarray:

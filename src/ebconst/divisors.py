@@ -226,18 +226,21 @@ def divisor_counts(lo: int, count: int) -> list[int]:
     return out
 
 
-def divisor_tail(start: int, count: int) -> tuple[int, int]:
-    """Weighted divisor tail (scaled, slack) at scale 2**count.
+def tail_majorant(end: int) -> int:
+    """2*ceil(sqrt(end)) + 2 >= sum_{t>=0} d(end + t) * 2**(-1-t), from
+    d(N) <= 2*sqrt(N), sqrt(a + b) <= sqrt(a) + sqrt(b) and
+    sum_{t>=0} sqrt(t)*2**-t < 2."""
+    return 2 * _isqrt_ceil(end) + 2
 
-    scaled = sum d(start + i) * 2**(count - 1 - i) over 0 <= i < count is
-    exact; since d(N) <= 2*sqrt(N), sqrt(a + b) <= sqrt(a) + sqrt(b) and
-    sum_{t>=0} sqrt(t)*2**-t < 2, the omitted terms i >= count add at most
-    slack = 2*ceil(sqrt(start + count)) + 2 at the same scale.
-    """
+
+def divisor_tail(start: int, count: int) -> tuple[int, int]:
+    """Weighted divisor tail (scaled, slack) at scale 2**count: scaled =
+    sum d(start + i) * 2**(count - 1 - i) over 0 <= i < count is exact, and
+    the terms i >= count add at most slack = tail_majorant(start + count)."""
     scaled = 0
     for d in divisor_counts(start, count):
         scaled = (scaled << 1) + d
-    return scaled, 2 * _isqrt_ceil(start + count) + 2
+    return scaled, tail_majorant(start + count)
 
 
 def valuation(n: int, p: int) -> int:

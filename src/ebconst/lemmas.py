@@ -15,11 +15,11 @@ from math import gcd
 
 from .bounds import ln_bounds, sqrt_bounds
 from .divisors import (
-    _isqrt_ceil,
     divisor_counts,
     factorize,
     primes_upto,
     progression_divisor_sum,
+    tail_majorant,
 )
 
 _PRECISIONS = (64, 128, 256, 512)
@@ -261,8 +261,7 @@ def check_lemma3_decomposition(
     for n, row in zip(ns, rows):
         scaled = sum(d << (cutoff - ell) for ell, d in enumerate(row, start=k))
         values.append(Fraction(scaled, 1 << cutoff))
-        root = _isqrt_ceil(n + cutoff + 1)
-        joint_remainder += Fraction(2 * root + 2, 1 << cutoff)
+        joint_remainder += Fraction(tail_majorant(n + cutoff + 1), 1 << cutoff)
     total = sum(values, Fraction(0))
     exceed = sum(1 for v in values if _exceeds_threshold(v, k))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -126,6 +127,17 @@ def test_witness_past_divisor_count_ceiling_exits_2():
     assert "supports n <= 100000000000000" in result.stderr
 
 
+def test_witness_with_huge_k_exits_2_quickly():
+    # k(k+1)/2 - 2 primes are needed; the count is a closed form, so the
+    # refusal does not list range(k).
+    start = time.perf_counter()
+    result = run_cli("witness", "--k", "1000000000000", "--window", "5:20")
+    assert time.perf_counter() - start < 10
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "requires 500000000000499999999998 distinct primes" in result.stderr
+
+
 def test_verify_rejects_tampered_certificate(tmp_path):
     witness = run_cli("witness", "--k", "3", "--window", "5:20",
                       "--m-max", "100000")
@@ -162,6 +174,10 @@ def _edited(payload: dict, **changes) -> dict:
     "digit_check_past_limit",
     "tail_n_differs",
     "tail_k_differs",
+    "k_huge",
+    "q0_zero",
+    "q0_one",
+    "q0_negative",
 ])
 def test_verify_hostile_certificate_exits_2(certificate, hostile):
     k = certificate["k"]
@@ -180,13 +196,22 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
         "tail_n_differs": _edited(
             certificate, tail={"n": str(int(certificate["tail"]["n"]) + 12345)}),
         "tail_k_differs": _edited(certificate, tail={"k": 7}),
+        # Consistent k, tail k and cutoff pass every span check; only the
+        # cap on k stops the tail sum from allocating 2**(10**12).
+        "k_huge": _edited(certificate, k=10**12,
+                          tail={"k": 10**12, "cutoff": 10**12}),
+        "q0_zero": _edited(certificate, q0="0"),
+        "q0_one": _edited(certificate, q0="1"),
+        "q0_negative": _edited(certificate, q0="-3"),
     }[hostile]
     result = run_cli("verify", "--stdin", stdin=json.dumps(payload))
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
-    if hostile.startswith(("cutoff", "n_plus")):
+    if hostile.startswith(("cutoff", "n_plus", "k_")):
         assert result.stdout.startswith("tail\tFAIL\t")
+    if hostile.startswith("q0_"):
+        assert "failed verification" in result.stderr
     if hostile.startswith("tail_"):
         failed = [line.split("\t")[0] for line in result.stdout.splitlines()
                   if "\tFAIL\t" in line]
@@ -236,3 +261,36 @@ def test_repeated_runs_are_byte_identical(args):
     second = run_cli(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode
+
+
+# SHA-256 of stdout for fixed invocations: digits, windows at 10**9 and
+# near 10**14, the k = 3 desk certificate and its verification. Any change
+# to emitted bytes fails here.
+GOLDEN_DIGESTS = {
+    ("digits", "--n", "5000", "--format", "hex"):
+        "ed6832369b7770b87149af1ace0452b0e487ac52d33aaa768a372be59f7ca404",
+    ("window", "--pos", "1000000007", "--width", "32"):
+        "b612919fc10b613b89d7a48cd5548539469a704256acd695813b52fbfdf5a902",
+    ("window", "--pos", "99999999999000", "--width", "64"):
+        "316da1f54d7112179d4ca9df4807352f190aeaf3c5637b75cbfb440e29de5b2c",
+    ("witness", "--k", "3", "--window", "5:20", "--format", "json"):
+        "80524f4cb0abc997a69574c7ed5af0e3be8a6b27787afc6e48701d3f54484036",
+}
+GOLDEN_VERIFY_DIGEST = (
+    "b96f79708371b152c9975c7efbe3327556c0edac463b9478e275b4cf18d4902e")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_golden_output_digests():
+    outputs = {}
+    for args, digest in GOLDEN_DIGESTS.items():
+        result = run_cli(*args)
+        assert result.returncode == 0, args
+        assert _sha256(result.stdout) == digest, args
+        outputs[args[0]] = result.stdout
+    verify = run_cli("verify", "--stdin", stdin=outputs["witness"])
+    assert verify.returncode == 0
+    assert _sha256(verify.stdout) == GOLDEN_VERIFY_DIGEST

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebconst.digits import (
+    _RETRY_CAP,
+    CertificationError,
     FractionEnclosure,
-    _frac_divisor_scaled,
+    _certify,
     _frac_series_scaled,
     _pack_weighted,
     bits_to_hex,
@@ -18,6 +20,7 @@ from ebconst.digits import (
     fractional_part_enclosure,
     hex_to_bits,
 )
+from ebconst.divisors import divisor_counts, divisor_tail, tail_majorant
 
 
 # A full expansion just past 2**20, the old hand-over point between the
@@ -71,12 +74,6 @@ class TestExpansions:
         assert b.startswith(a)
         assert b == golden52
 
-    @pytest.mark.parametrize("expand", [expand_naive, expand_sieve])
-    def test_guard_growth_never_changes_bits(self, expand, golden52):
-        # Certification monotonicity: any larger guard emits the same bits.
-        for guard in (14, 28, 64, 200):
-            assert expand(52, guard_bits=guard).bits == golden52
-
     def test_bad_precision_rejected(self):
         with pytest.raises(ValueError):
             expand_naive(0)
@@ -84,19 +81,49 @@ class TestExpansions:
             expand_sieve(-3)
 
 
+class TestCertify:
+    @staticmethod
+    def _straddling(times, calls):
+        # Value 2**work - 1 exactly: an enclosure [v - 1, v + 1] crosses the
+        # carry boundary at 2**work; after `times` straddles it is [v, v].
+        def enclose(work):
+            calls.append(work)
+            value = (1 << work) - 1
+            return (value - 1, 2) if len(calls) <= times else (value, 0)
+        return enclose
+
+    def test_retries_double_the_guard(self):
+        calls = []
+        lower, slack, guard = _certify(self._straddling(2, calls), 6, 5)
+        assert calls == [11, 16, 26]
+        assert guard == 20
+        assert (lower, slack) == ((1 << 26) - 1, 0)
+        assert lower >> guard == 0b111111
+
+    def test_never_deciding_raises(self):
+        calls = []
+        with pytest.raises(CertificationError):
+            _certify(self._straddling(10**9, calls), 6, 5)
+        assert len(calls) == _RETRY_CAP + 1
+
+
 class TestTailMajorant:
     @pytest.mark.parametrize("m", [1, 4, 52, 1000])
     def test_sieve_tail_bound_dominates_partial_sums(self, m):
-        # The certified slack 8*sqrt(m)*2**-m must dominate the true omitted
-        # tail; its 400-term lower partial sum (floor square roots) is an
-        # exact dyadic witness.
+        # The sieve expansion's slack tail_majorant(m + 1) * 2**-m must
+        # dominate the true omitted tail sum_{n>m} d(n)*2**-n; a 400-term
+        # lower partial sum of 2*sqrt(n)*2**-n (floor square roots), which
+        # bounds d(n) from above, is an exact dyadic witness.
         from math import isqrt
 
-        majorant = Fraction(8 * (isqrt(m) + 1), 1 << m)
+        majorant = Fraction(tail_majorant(m + 1), 1 << m)
         partial = sum(
             Fraction(2 * isqrt(n), 1 << n) for n in range(m + 1, m + 400)
         )
         assert partial < majorant
+        exact = sum(Fraction(d, 1 << n) for n, d in
+                    enumerate(divisor_counts(m + 1, 399), start=m + 1))
+        assert exact < majorant
 
 
 class TestPacking:
@@ -149,7 +176,7 @@ class TestDigitWindow:
             work = 56
             scale = 1 << work
             brackets = []
-            for route in (_frac_series_scaled, _frac_divisor_scaled):
+            for route in (_frac_series_scaled, divisor_tail):
                 lower, slack = route(pos, work)
                 whole = lower >> work
                 assert whole == (lower + slack) >> work  # integer part settled
@@ -160,7 +187,7 @@ class TestDigitWindow:
             assert max(lo_a, lo_b) <= min(hi_a, hi_b)
 
     def test_large_position_uses_divisor_route(self):
-        # Far beyond the series-route ceiling; must still certify quickly.
+        # Divisor counts near 10**9, with no digit before the window.
         bits = digit_window(10**9 + 7, 8)
         assert len(bits) == 8 and set(bits) <= {"0", "1"}
 
@@ -205,7 +232,7 @@ class TestFractionalEnclosure:
     def test_width_respects_precision(self):
         for precision in (8, 24, 48):
             enclosure = fractional_part_enclosure(9, precision)
-            assert enclosure.width <= Fraction(1, 1 << precision)
+            assert enclosure.width < Fraction(1, 1 << precision)
             assert 0 <= enclosure.lower <= enclosure.upper <= 1
 
     def test_consistent_with_window(self):
@@ -228,7 +255,7 @@ class TestFractionalEnclosure:
         for n in _seeded_positions(41, 300):
             precision = rng.randint(1, 48)
             enclosure = fractional_part_enclosure(n, precision)
-            assert enclosure.width <= Fraction(1, 1 << precision)
+            assert enclosure.width < Fraction(1, 1 << precision)
             cell = bits_past_2_20[n - 1 : n + 47]
             v = Fraction(int(cell, 2), 1 << len(cell))
             assert enclosure.lower <= v + Fraction(1, 1 << len(cell))
