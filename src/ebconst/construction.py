@@ -154,7 +154,7 @@ def select_primes(params: WitnessParams) -> tuple[int, dict[int, list[int]]]:
         source = f"list of {len(pool)} primes"
     else:
         low, high = params.prime_window
-        pool = primes_in_range(low, high)
+        pool = primes_in_range(low, high).tolist()  # Python ints for P_j
         source = f"window [{low}, {high}] ({len(pool)} primes)"
     need = params.required_primes
     if len(pool) < need:
@@ -467,7 +467,9 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
         report.add("residues", residues_ok, CHECK_RELATIONS["residues"])
 
     p, q0 = cert.p, cert.q0
-    q0_prime = is_prime(q0)  # guards the divisions by q0 and valuation
+    # Guards the divisions by q0 and valuation; q0**2 | n + 2 bounds q0
+    # before Miller-Rabin sees it.
+    q0_prime = 2 <= q0 and q0 * q0 <= n + 2 and is_prime(q0)
     s_ok = (
         q0_prime
         and (cert.r + 2) % q0**2 == 0

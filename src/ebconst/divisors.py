@@ -3,24 +3,23 @@
 Everything here is integer-exact and deterministic: primality via a
 Miller-Rabin variant whose fixed witness set is proven correct far beyond
 the 64-bit range, factorization by trial division against a cached prime
-list, d(n) tables by a Dirichlet-hyperbola sieve that needs strided adds
-only for divisors up to sqrt(limit), d(n) over a short run of consecutive
-integers by a segmented sieve of that run, and exact divisor sums over
-arithmetic progressions.
+table (one read-only int64 array; primes_upto and primes_in_range return
+slices of it), d(n) tables by a Dirichlet-hyperbola sieve that needs
+strided adds only for divisors up to sqrt(limit), d(n) over a short run of
+consecutive integers by a segmented sieve of that run, and exact divisor
+sums over arithmetic progressions.
 """
 
 from __future__ import annotations
 
-import bisect
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
 
 import numpy as np
 
-# Trial division is sized for inputs up to this bound; the backing prime
-# cache then never exceeds isqrt(FACTOR_LIMIT) = 10**7 entries.
+# Trial division is sized for inputs up to this bound; it reads the cached
+# primes up to isqrt(FACTOR_LIMIT) = 10**7 (664,579 of them).
 FACTOR_LIMIT = 10**14
 
 # Default ceiling for divisor_sieve allocations (2 bytes per entry).
@@ -63,44 +62,57 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_primes: list[int] = []
-_prime_array = np.zeros(0, dtype=np.int64)  # _primes as int64, for sieving
+# Every prime <= _prime_limit, ascending, as one read-only int64 array.
+# A regrow binds a new array, so slices handed out earlier stay valid.
+_prime_array = np.zeros(0, dtype=np.int64)
+_prime_array.flags.writeable = False
 _prime_limit = 0
-_prime_lock = threading.Lock()
 
 
 def _extend_primes(limit: int) -> None:
-    global _primes, _prime_array, _prime_limit
-    with _prime_lock:
-        if limit <= _prime_limit:
-            return
-        limit = max(limit, 2 * _prime_limit, 1 << 16)
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        _prime_array = np.flatnonzero(sieve).astype(np.int64, copy=False)
-        _primes = _prime_array.tolist()
-        _prime_limit = limit
+    """Sieve the odd integers up to at least limit into _prime_array, at
+    least doubling it but never past max(limit, isqrt(FACTOR_LIMIT)). A
+    sieve byte plus at most one int64 per odd integer must fit the budget."""
+    global _prime_array, _prime_limit
+    if limit <= _prime_limit:
+        return
+    grown = min(max(limit, 2 * _prime_limit, 1 << 16),
+                max(limit, isqrt(FACTOR_LIMIT)))
+    need = 9 * ((grown + 1) // 2)
+    if need > SIEVE_MEMORY_BUDGET:
+        raise ValueError(
+            f"a prime table up to {limit} needs about {need} bytes, past the "
+            f"{SIEVE_MEMORY_BUDGET}-byte sieve memory budget"
+        )
+    # odd[i] stands for 2i + 1, and odd[0] for 2 (1 is not prime).
+    odd = np.ones((grown + 1) // 2, dtype=bool)
+    for i in range(1, (isqrt(grown) - 1) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = np.flatnonzero(odd)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    primes.flags.writeable = False
+    _prime_array, _prime_limit = primes, grown
 
 
-def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
+def primes_upto(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as a read-only int64 array (a view of
+    the cached table, not a copy)."""
     if limit < 2:
-        return []
+        return _prime_array[:0]
     _extend_primes(limit)
-    return _primes[: bisect.bisect_right(_primes, limit)]
+    return _prime_array[: _prime_array.searchsorted(limit, side="right")]
 
 
-def primes_in_range(low: int, high: int) -> list[int]:
-    """All primes p with low <= p <= high, ascending."""
-    if high < low or high < 2:
-        return []
-    _extend_primes(high)
-    i = bisect.bisect_left(_primes, low)
-    j = bisect.bisect_right(_primes, high)
-    return _primes[i:j]
+def primes_in_range(low: int, high: int) -> np.ndarray:
+    """All primes p with low <= p <= high: a slice of primes_upto(high)."""
+    if high < low:
+        return _prime_array[:0]
+    primes = primes_upto(high)
+    return primes[primes.searchsorted(max(low, 2)) :]
 
 
 @dataclass(frozen=True)
@@ -124,40 +136,26 @@ class FactorMap:
 def factorize(n: int) -> FactorMap:
     """Full prime factorization of n >= 1 by deterministic trial division.
 
-    Inputs above FACTOR_LIMIT are rejected rather than risking an unbounded
-    prime sieve.
+    One vectorised n % p over the primes p <= isqrt(n) finds every prime
+    factor but at most one; exponents are divided out at those hits, and a
+    cofactor above 1 left afterwards has no prime factor <= sqrt(n), so it
+    is prime. Inputs above FACTOR_LIMIT (< 2**63, so n % p is exact in
+    int64) are rejected rather than risking an unbounded prime sieve.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n > FACTOR_LIMIT:
         raise ValueError(f"factorize supports n <= {FACTOR_LIMIT}, got {n}")
-    if n == 1:
-        return FactorMap(())
+    primes = primes_upto(isqrt(n))
     entries: list[tuple[int, int]] = []
-    rem = n
-    idx = 0
-    while rem > 1:
-        if is_prime(rem):
-            entries.append((rem, 1))
-            break
-        # rem is composite, so its smallest prime factor is <= sqrt(rem).
-        bound = isqrt(rem)
-        while True:
-            if idx >= len(_primes):
-                _extend_primes(max(1 << 16, 2 * _prime_limit))
-            p = _primes[idx]
-            idx += 1
-            if p > bound:
-                raise AssertionError(
-                    f"composite {rem} with no prime factor <= {bound}"
-                )
-            if rem % p == 0:
-                break
+    for p in primes[n % primes == 0].tolist():
         e = 0
-        while rem % p == 0:
-            rem //= p
+        while n % p == 0:
+            n //= p
             e += 1
         entries.append((p, e))
+    if n > 1:
+        entries.append((n, 1))
     return FactorMap(tuple(entries))
 
 
@@ -193,9 +191,7 @@ def divisor_counts(lo: int, count: int) -> list[int]:
             f"divisor_counts supports n <= {FACTOR_LIMIT}, the exact "
             f"divisor-count ceiling of this implementation; got n = {hi}"
         )
-    root = isqrt(hi)
-    _extend_primes(root)
-    primes = _prime_array[: np.searchsorted(_prime_array, root, side="right")]
+    primes = primes_upto(isqrt(hi))
     out: list[int] = []
     for start in range(lo, hi + 1, _SEGMENT):
         size = min(_SEGMENT, hi + 1 - start)

@@ -346,8 +346,8 @@ def check_agp_progression(X: int, d: int, a: int) -> AgpReport:
         raise ValueError("d and a must be positive")
     if gcd(a, d) != 1:
         raise ValueError(f"requires gcd(a, d) = 1, got gcd({a}, {d}) = {gcd(a, d)}")
-    count = sum(1 for p in primes_upto(X) if p % d == a % d)
-    phi = euler_phi(d)
+    phi = euler_phi(d)  # rejects d > FACTOR_LIMIT, so d fits int64 below
+    count = int((primes_upto(X) % d == a % d).sum())
 
     # satisfied is claimed only when count >= a certified upper bound of
     # the reference quantity; denied only when count < a lower bound.

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 GOLDEN_52 = "1001101101010000010111111001111001000011111100100010"
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -21,6 +22,7 @@ def run_cli(*args, stdin=None):
         input=stdin,
         env=env,
         timeout=300,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -178,6 +180,7 @@ def _edited(payload: dict, **changes) -> dict:
     "q0_zero",
     "q0_one",
     "q0_negative",
+    "q0_past_witness_range",
 ])
 def test_verify_hostile_certificate_exits_2(certificate, hostile):
     k = certificate["k"]
@@ -203,6 +206,8 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
         "q0_zero": _edited(certificate, q0="0"),
         "q0_one": _edited(certificate, q0="1"),
         "q0_negative": _edited(certificate, q0="-3"),
+        # A prime past the Miller-Rabin bound, but q0**2 > n + 2 already.
+        "q0_past_witness_range": _edited(certificate, q0=str(2**89 - 1)),
     }[hostile]
     result = run_cli("verify", "--stdin", stdin=json.dumps(payload))
     assert result.returncode == 2
@@ -216,6 +221,21 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
         failed = [line.split("\t")[0] for line in result.stdout.splitlines()
                   if "\tFAIL\t" in line]
         assert failed == ["tail", "stored_flags"]
+
+
+@pytest.mark.parametrize("args", [
+    ("agp", "--x", "10000000000000", "--d", "12", "--a", "7"),
+    ("witness", "--k", "3", "--window", "5:10000000000000"),
+])
+def test_prime_table_past_memory_budget_exits_2(args):
+    # The address-space cap keeps a regression from exhausting the machine.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    result = run_cli(*args, preexec_fn=cap_memory)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: a prime table up to 10000000000000 ")
 
 
 def test_erdos_run_tsv():

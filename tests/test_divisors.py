@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd, isqrt
 
 import numpy as np
@@ -7,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebconst import divisors
 from ebconst.divisors import (
     _SEGMENT,
     FACTOR_LIMIT,
@@ -84,6 +86,22 @@ class TestFactorize:
         p, q = 1000003, 1000033
         assert factorize(p * q).as_dict() == {p: 1, q: 1}
 
+    def test_sympy_agreement_sampled(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            n = rng.randint(1, 10 ** rng.randint(1, 14))
+            assert factorize(n).as_dict() == sympy.factorint(n), n
+
+    @pytest.mark.parametrize("n", [
+        9999973 * 9999991,   # the two largest primes below 10**7
+        9999991**2,
+        99999999999973,      # the largest prime below 10**14
+        2**46,
+        1,
+    ])
+    def test_sympy_agreement_at_the_ceiling(self, n):
+        assert factorize(n).as_dict() == sympy.factorint(n)
+
 
 class TestDivisorCount:
     @pytest.mark.parametrize("n,expected", [(1, 1), (12, 6), (45, 6)])
@@ -144,9 +162,73 @@ class TestPrimality:
             assert is_prime(n) == sympy.isprime(n)
 
     def test_prime_ranges(self):
-        assert primes_in_range(5, 20) == [5, 7, 11, 13, 17, 19]
-        assert primes_in_range(14, 16) == []
-        assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert primes_in_range(5, 20).tolist() == [5, 7, 11, 13, 17, 19]
+        assert primes_in_range(14, 16).tolist() == []
+        assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+@pytest.fixture
+def fresh_prime_table(monkeypatch):
+    """An empty prime table for one test; the cached one is restored after."""
+    monkeypatch.setattr(divisors, "_prime_array", divisors._prime_array[:0])
+    monkeypatch.setattr(divisors, "_prime_limit", 0)
+
+
+class TestPrimeTable:
+    def test_primes_upto_matches_sympy(self, fresh_prime_table):
+        # The first build covers exactly 2**16; 2**16 + 1 (a prime) regrows.
+        for limit in [*range(301), 2**16 - 1, 2**16, 2**16 + 1]:
+            expected = list(sympy.primerange(2, limit + 1))
+            assert primes_upto(limit).tolist() == expected, limit
+
+    def test_primes_in_range_edges(self):
+        assert primes_in_range(20, 5).tolist() == []
+        assert primes_in_range(10**30, 5).tolist() == []
+        assert primes_in_range(-7, 1).tolist() == []
+        assert primes_in_range(0, 0).tolist() == []
+        assert primes_in_range(-7, 2).tolist() == [2]
+        assert primes_in_range(7, 31).tolist() == [7, 11, 13, 17, 19, 23, 29, 31]
+        assert primes_in_range(65521, 65537).tolist() == [65521, 65537]
+
+    def test_results_are_read_only_int64(self):
+        for primes in (primes_upto(100), primes_in_range(10, 20), primes_upto(1),
+                       primes_in_range(20, 5)):
+            assert primes.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                primes[:1] = 0
+
+    def test_answer_unchanged_by_regrow(self, fresh_prime_table):
+        before = primes_in_range(100, 200)
+        expected = before.tolist()
+        primes_upto(3 * 2**16)
+        assert divisors._prime_limit >= 3 * 2**16
+        assert before.tolist() == expected
+        assert primes_in_range(100, 200).tolist() == expected
+
+    def test_regrow_stops_at_the_factoring_root(self, fresh_prime_table):
+        primes_upto(6 * 10**6)
+        primes_upto(10**7)
+        assert divisors._prime_limit == isqrt(FACTOR_LIMIT) == 10**7
+
+    def test_table_past_the_memory_budget_is_refused(self):
+        limit = divisors._prime_limit
+        with pytest.raises(ValueError, match="prime table up to 10000000000000 "):
+            primes_upto(10**13)
+        assert divisors._prime_limit == limit
+
+    def test_peak_memory_of_the_factoring_table(self, fresh_prime_table):
+        # The primes up to 10**7 need a 4.8 MiB odd-only sieve and a 5.1 MiB
+        # int64 table. A full-width sieve (9.5 MiB) or a second copy of the
+        # table as a Python list (25 MiB) would pass the bound. tracemalloc
+        # sees numpy's buffers; ru_maxrss cannot serve in a subprocess of
+        # the test run, which inherits the runner's high-water mark.
+        tracemalloc.start()
+        try:
+            primes_upto(isqrt(FACTOR_LIMIT))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestDivisorSieve:
