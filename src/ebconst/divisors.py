@@ -1,13 +1,15 @@
 """Exact divisor-function machinery.
 
-Everything here is integer-exact and deterministic: primality via a
-Miller-Rabin variant whose fixed witness set is proven correct far beyond
-the 64-bit range, factorization by trial division against a cached prime
+Everything here is integer-exact and deterministic: primality via
+Miller-Rabin with the 13 prime bases 2..41, proven correct below psi_13
+(about 2**81.4), factorization by trial division against a cached prime
 table (one read-only int64 array; primes_upto and primes_in_range return
-slices of it), d(n) tables by a Dirichlet-hyperbola sieve that needs
-strided adds only for divisors up to sqrt(limit), d(n) over a short run of
-consecutive integers by a segmented sieve of that run, and exact divisor
-sums over arithmetic progressions.
+slices of it) that stops at the square root of the unfactored part, d(n)
+tables by a Dirichlet-hyperbola sieve that needs strided adds only for
+divisors up to sqrt(limit), d(n) over a short run of consecutive integers
+by a segmented sieve that lists every prime power up to FACTOR_LIMIT with
+a multiple in the run and keeps the exact ones, and exact divisor sums
+over arithmetic progressions.
 """
 
 from __future__ import annotations
@@ -25,9 +27,12 @@ FACTOR_LIMIT = 10**14
 # Default ceiling for divisor_sieve allocations (2 bytes per entry).
 SIEVE_MEMORY_BUDGET = 512 * 1024 * 1024
 
-# This witness set decides primality for every n < 3317044064679887385961981
-# (Sorenson-Webster), comfortably past FACTOR_LIMIT and the 64-bit range.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as bases decide primality for every n below
+# psi_13 = 3317044064679887385961981, about 2**81.4 (Sorenson and Webster
+# 2015), comfortably past FACTOR_LIMIT and the 64-bit range. The first 12
+# are not enough: psi_12 = 318665857834031151167461 is a strong pseudoprime
+# to every base up to 37.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
@@ -36,7 +41,8 @@ class SieveBudgetError(MemoryError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2**81 (and a bit beyond)."""
+    """Deterministic primality test for 0 <= n < psi_13 (about 2**81.4):
+    Miller-Rabin with the 13 prime bases 2..41; larger n raise ValueError."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -132,15 +138,21 @@ class FactorMap:
         return dict(self.entries)
 
 
+# Primes reduced against n per vectorised step of factorize.
+_FACTOR_CHUNK = 1 << 12
+
+
 @lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> FactorMap:
     """Full prime factorization of n >= 1 by deterministic trial division.
 
-    One vectorised n % p over the primes p <= isqrt(n) finds every prime
-    factor but at most one; exponents are divided out at those hits, and a
-    cofactor above 1 left afterwards has no prime factor <= sqrt(n), so it
-    is prime. Inputs above FACTOR_LIMIT (< 2**63, so n % p is exact in
-    int64) are rejected rather than risking an unbounded prime sieve.
+    The primes p <= isqrt(n) are scanned in chunks of _FACTOR_CHUNK: one
+    vectorised n % p per chunk finds the prime factors in it, and their
+    exponents are divided out of n at once. The scan stops when the next
+    prime exceeds isqrt of what is left of n; a cofactor above 1 then has
+    no prime factor <= its square root, so it is prime. Inputs above
+    FACTOR_LIMIT (< 2**63, so n % p is exact in int64) are rejected rather
+    than risking an unbounded prime sieve.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -148,12 +160,16 @@ def factorize(n: int) -> FactorMap:
         raise ValueError(f"factorize supports n <= {FACTOR_LIMIT}, got {n}")
     primes = primes_upto(isqrt(n))
     entries: list[tuple[int, int]] = []
-    for p in primes[n % primes == 0].tolist():
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        entries.append((p, e))
+    for i in range(0, len(primes), _FACTOR_CHUNK):
+        chunk = primes[i : i + _FACTOR_CHUNK]
+        if int(chunk[0]) ** 2 > n:
+            break
+        for p in chunk[n % chunk == 0].tolist():
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            entries.append((p, e))
     if n > 1:
         entries.append((n, 1))
     return FactorMap(tuple(entries))
@@ -169,6 +185,37 @@ def _isqrt_ceil(x: int) -> int:
     return r if r * r == x else r + 1
 
 
+def _integer_root(n: int, e: int) -> int:
+    """The largest r with r**e <= n, built bit by bit in integers."""
+    r = 0
+    for bit in reversed(range(n.bit_length() // e + 1)):
+        if (r | 1 << bit) ** e <= n:
+            r |= 1 << bit
+    return r
+
+
+# The exact e-th roots of FACTOR_LIMIT for e = 46, 45, ..., 2, ascending;
+# 2**46 <= FACTOR_LIMIT < 2**47, so no prime has a 47th power in range.
+_POWER_ROOTS = np.array(
+    [_integer_root(FACTOR_LIMIT, e)
+     for e in range(FACTOR_LIMIT.bit_length() - 1, 1, -1)],
+    dtype=np.int64,
+)
+
+
+def _exponent_caps(primes: np.ndarray) -> np.ndarray:
+    """cap(p) = #{e >= 1 : p**e <= FACTOR_LIMIT} for each prime p <=
+    FACTOR_LIMIT: 1 plus the number of e >= 2 whose root in _POWER_ROOTS
+    is >= p."""
+    return 1 + len(_POWER_ROOTS) - _POWER_ROOTS.searchsorted(primes)
+
+
+def _ranks(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n - 1 for each n in lengths, concatenated."""
+    return (np.arange(lengths.sum())
+            - (lengths.cumsum() - lengths).repeat(lengths))
+
+
 # Integers per segment of divisor_counts; bounds its work arrays.
 _SEGMENT = 1 << 12
 
@@ -177,11 +224,16 @@ def divisor_counts(lo: int, count: int) -> list[int]:
     """[d(lo), d(lo + 1), ..., d(lo + count - 1)] by a segmented sieve.
 
     Each segment of consecutive integers gets the first multiple of every
-    prime p <= isqrt(hi) from one vectorised (-start) % p; exponents are
-    divided out at those multiples only, and each multiplies d by e + 1.
-    A cofactor above 1 left afterwards has no prime factor <= isqrt(hi),
-    so it is one prime and doubles d (Bays and Hudson's segmented sieve of
-    Eratosthenes, counting divisors instead of marking composites).
+    prime p <= isqrt(hi) from one vectorised (-start) % p. Every prime
+    with a multiple there lists its powers q = p**e up to cap(p), the
+    largest e with p**e <= FACTOR_LIMIT (so q fits int64), and each power
+    its multiples in the segment. The pairs where q divides exactly
+    (n // q % p != 0) multiply d(n) by e + 1 and divide q out of n; a
+    cofactor above 1 left afterwards has no prime factor <= isqrt(hi), so
+    it is one prime and doubles d. A segment costs a fixed number of
+    array operations, whatever the exponents in it (Bays and Hudson's
+    segmented sieve of Eratosthenes, counting divisors instead of marking
+    composites).
     """
     if lo < 1 or count < 1:
         raise ValueError("divisor_counts requires lo, count >= 1")
@@ -195,29 +247,27 @@ def divisor_counts(lo: int, count: int) -> list[int]:
     out: list[int] = []
     for start in range(lo, hi + 1, _SEGMENT):
         size = min(_SEGMENT, hi + 1 - start)
-        first = (-start) % primes
-        hit = first < size
-        p, first = primes[hit], first[hit]
-        # One (position, prime) pair per multiple of p in the segment.
-        reps = (size - 1 - first) // p + 1
-        pair_p = np.repeat(p, reps)
-        rank = np.arange(len(pair_p)) - np.repeat(np.cumsum(reps) - reps, reps)
-        where = np.repeat(first, reps) + rank * pair_p
-        rest = start + where
-        exponent = np.zeros(len(where), dtype=np.int64)
-        power = np.ones(len(where), dtype=np.int64)
-        active = np.arange(len(where))
-        while active.size:
-            step = pair_p[active]
-            rest[active] //= step
-            exponent[active] += 1
-            power[active] *= step
-            active = active[rest[active] % step == 0]
+        p = primes[(-start) % primes < size]
+        caps = _exponent_caps(p)
+        base = p.repeat(caps)
+        exponent = _ranks(caps) + 1
+        power = base**exponent
+        # One (position, power) pair per multiple of the power in the
+        # segment; first < power makes reps 0, not negative, for a power
+        # with no multiple here.
+        first = (-start) % power
+        reps = (size - 1 - first) // power + 1
+        base, exponent, power, first = (
+            base.repeat(reps), exponent.repeat(reps),
+            power.repeat(reps), first.repeat(reps))
+        where = first + _ranks(reps) * power
+        exact = (start + where) // power % base != 0
+        where, exponent, power = where[exact], exponent[exact], power[exact]
         counts = np.ones(size, dtype=np.int64)
         np.multiply.at(counts, where, exponent + 1)
         cofactor = np.arange(start, start + size, dtype=np.int64)
         np.floor_divide.at(cofactor, where, power)
-        counts[cofactor > 1] *= 2
+        counts <<= cofactor > 1
         out.extend(counts.tolist())
     return out
 

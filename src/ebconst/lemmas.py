@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .bounds import ln_bounds, sqrt_bounds
 from .divisors import (
     divisor_counts,
@@ -336,6 +338,10 @@ def euler_phi(d: int) -> int:
     return phi
 
 
+# Primes reduced modulo d per step of check_agp_progression.
+_AGP_CHUNK = 1 << 16
+
+
 def check_agp_progression(X: int, d: int, a: int) -> AgpReport:
     """Exact count of primes p <= X with p = a (mod d) against the
     reference lower bound X / (2*phi(d)*ln X). The flag only reports; the
@@ -347,7 +353,12 @@ def check_agp_progression(X: int, d: int, a: int) -> AgpReport:
     if gcd(a, d) != 1:
         raise ValueError(f"requires gcd(a, d) = 1, got gcd({a}, {d}) = {gcd(a, d)}")
     phi = euler_phi(d)  # rejects d > FACTOR_LIMIT, so d fits int64 below
-    count = int((primes_upto(X) % d == a % d).sum())
+    # Counted a chunk at a time: a full-width p % d would copy the table.
+    primes = primes_upto(X)
+    count = sum(
+        int(np.count_nonzero(primes[i : i + _AGP_CHUNK] % d == a % d))
+        for i in range(0, len(primes), _AGP_CHUNK)
+    )
 
     # satisfied is claimed only when count >= a certified upper bound of
     # the reference quantity; denied only when count < a lower bound.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ebconst import divisors
 from ebconst.divisors import (
+    _POWER_ROOTS,
     _SEGMENT,
     FACTOR_LIMIT,
     SieveBudgetError,
@@ -98,6 +99,10 @@ class TestFactorize:
         99999999999973,      # the largest prime below 10**14
         2**46,
         1,
+        38873**2,            # the first prime of the second scan chunk, squared
+        38867 * 38873,       # the last prime of one chunk times the first of the next
+        84017 * 84047 * 2**10,  # the same across the next chunk edge, times 2**10
+        2**20 * 9999991,     # the early exit leaves a large prime cofactor
     ])
     def test_sympy_agreement_at_the_ceiling(self, n):
         assert factorize(n).as_dict() == sympy.factorint(n)
@@ -160,6 +165,29 @@ class TestPrimality:
         for _ in range(300):
             n = rng.randint(2, 10**12)
             assert is_prime(n) == sympy.isprime(n)
+
+    PSI_12 = 318665857834031151167461   # = 399165290221 * 798330580441
+    PSI_13 = 3317044064679887385961981
+
+    def test_psi_12_is_composite(self):
+        # The least strong pseudoprime to every prime base up to 37.
+        assert self.PSI_12 == 399165290221 * 798330580441
+        assert not is_prime(self.PSI_12)
+
+    def test_psi_13_is_past_the_deterministic_range(self):
+        with pytest.raises(ValueError, match="deterministic witness range"):
+            is_prime(self.PSI_13)
+        assert is_prime(self.PSI_13 - 2) == sympy.isprime(self.PSI_13 - 2)
+
+    def test_sympy_agreement_below_psi_13(self):
+        rng = random.Random(41)
+        primes = [sympy.nextprime(rng.randrange(self.PSI_12, self.PSI_13 - 10**6))
+                  for _ in range(20)]
+        semiprimes = [sympy.nextprime(rng.getrandbits(40)) * sympy.nextprime(
+            rng.getrandbits(41)) for _ in range(20)]
+        odd = [rng.randrange(self.PSI_12, self.PSI_13) | 1 for _ in range(200)]
+        for n in primes + semiprimes + odd:
+            assert is_prime(n) == sympy.isprime(n), n
 
     def test_prime_ranges(self):
         assert primes_in_range(5, 20).tolist() == [5, 7, 11, 13, 17, 19]
@@ -328,6 +356,46 @@ class TestDivisorCounts:
             FACTOR_LIMIT - 63, 64)
         with pytest.raises(ValueError, match="supports n <="):
             divisor_counts(FACTOR_LIMIT - 63, 65)
+
+    @pytest.mark.parametrize("lo,count", [
+        (2**46 - 30, 61),            # 2**cap(2), cap(2) = 46
+        (3**29 - 30, 61),
+        (5**20 - 30, 61),
+        (7**16 - 30, 61),
+        (9999991**2 - 40, 81),
+        (FACTOR_LIMIT - 63, 64),
+        (3**15 - _SEGMENT, 2 * _SEGMENT + 1),   # crosses two segment edges
+    ])
+    def test_sympy_agreement(self, lo, count):
+        assert divisor_counts(lo, count) == [sympy.divisor_count(lo + i)
+                                             for i in range(count)]
+
+    # lo log-uniform: a bit length first, then a value of that length.
+    @given(st.integers(min_value=0, max_value=46).flatmap(
+               lambda b: st.integers(min_value=2**b,
+                                     max_value=min(2 ** (b + 1), FACTOR_LIMIT - 199))),
+           st.integers(min_value=1, max_value=200))
+    @settings(max_examples=20, deadline=None)
+    def test_sympy_agreement_property(self, lo, count):
+        assert divisor_counts(lo, count) == [sympy.divisor_count(lo + i)
+                                             for i in range(count)]
+
+    @staticmethod
+    def max_exponent(p: int) -> int:
+        e = 0
+        while p ** (e + 1) <= FACTOR_LIMIT:
+            e += 1
+        return e
+
+    def test_exponent_caps(self):
+        primes = primes_upto(10**5)
+        caps = divisors._exponent_caps(primes)
+        assert caps.tolist() == [self.max_exponent(p) for p in primes.tolist()]
+        # Either side of each e-th root of FACTOR_LIMIT, e = 46..2.
+        edges = np.array([r + k for r in _POWER_ROOTS.tolist() for k in (0, 1)])
+        caps = divisors._exponent_caps(edges)
+        assert caps.tolist() == [self.max_exponent(v) for v in edges.tolist()]
+        assert _POWER_ROOTS[0] == 2 and _POWER_ROOTS[-1] == isqrt(FACTOR_LIMIT)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

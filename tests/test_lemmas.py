@@ -1,10 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from ebconst.construction import build_witness_system, select_primes, WitnessParams
-from ebconst.divisors import divisor_count, is_prime
+from ebconst.divisors import divisor_count, is_prime, primes_upto
 from ebconst.lemmas import (
     Lemma2Instance,
     check_agp_progression,
@@ -150,6 +151,25 @@ class TestAgp:
             report = check_agp_progression(X, d, a)
             walked = sum(1 for n in range(a, X + 1, d) if is_prime(n))
             assert report.count == walked
+
+    def test_counts_across_chunks(self):
+        # pi(10**7) = 664579 primes, many counting chunks: the residues
+        # coprime to 10 hold all of them but 2 and 5.
+        counts = [check_agp_progression(10**7, 10, a).count for a in (1, 3, 7, 9)]
+        assert sum(counts) + 2 == 664579
+        assert counts[0] == int((primes_upto(10**7) % 10 == 1).sum())
+
+    def test_peak_memory_of_a_count(self):
+        # The 5.1 MiB table of primes up to 10**7 is built first; the count
+        # itself needs one chunk of residues, not a copy of the table.
+        primes_upto(10**7)
+        tracemalloc.start()
+        try:
+            check_agp_progression(10**7, 10, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_phi_matches_sympy(self):
         for d in (1, 2, 12, 97, 5_010_005, 3**5 * 7):
