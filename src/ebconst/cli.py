@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 precondition/validation failure (including a
 certificate that fails verification), 3 witness search exhausted without a
-hit. Data goes to stdout, diagnostics to stderr; identical invocations
-produce identical bytes.
+hit. Every refusal, a memory budget or the divisor-count ceiling as much
+as a malformed input, exits 2 with one "error:" line through the single
+error mapping in main. Data goes to stdout, diagnostics to stderr;
+identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import construction, lemmas, scanner
 from .digits import (
@@ -27,23 +30,13 @@ EXIT_USAGE = 2
 EXIT_NO_WITNESS = 3
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def _cmd_digits(args) -> int:
-    try:
-        if args.method == "naive":
-            result = expand_naive(args.n)
-        else:
-            result = expand_sieve(args.n)
-    except (ValueError, MemoryError, CertificationError) as exc:
-        return _fail(str(exc))
+    expand = expand_naive if args.method == "naive" else expand_sieve
+    result = expand(args.n)
     if args.format == "hex":
         print(bits_to_hex(result.bits))
     else:
@@ -53,10 +46,7 @@ def _cmd_digits(args) -> int:
 
 
 def _cmd_window(args) -> int:
-    try:
-        bits = digit_window(args.pos, args.width)
-    except (ValueError, CertificationError) as exc:
-        return _fail(str(exc))
+    bits = digit_window(args.pos, args.width)
     print(bits_to_hex(bits) if args.format == "hex" else bits)
     return EXIT_OK
 
@@ -65,26 +55,22 @@ def _digit_source(args) -> str:
     if args.digits is not None:
         return args.digits
     if args.input is not None:
-        with open(args.input, "r", encoding="ascii") as handle:
-            return handle.read().strip()
+        return Path(args.input).read_text(encoding="ascii").strip()
     return expand_sieve(args.n).bits
 
 
 def _cmd_scan(args) -> int:
-    try:
-        digits = _digit_source(args)
-        if args.block_freq is not None:
-            table = scanner.block_frequency_table(digits, args.block_freq)
-            if args.format == "tsv":
-                for block in sorted(table):
-                    print(f"{block}\t{table[block]}")
-            else:
-                _emit_json(table)
-            return EXIT_OK
-        report = scanner.scan_block(digits, args.pattern,
-                                    overlapping=not args.no_overlap)
-    except (ValueError, OSError, CertificationError) as exc:
-        return _fail(str(exc))
+    digits = _digit_source(args)
+    if args.block_freq is not None:
+        table = scanner.block_frequency_table(digits, args.block_freq)
+        if args.format == "tsv":
+            for block in sorted(table):
+                print(f"{block}\t{table[block]}")
+        else:
+            _emit_json(table)
+        return EXIT_OK
+    report = scanner.scan_block(digits, args.pattern,
+                                overlapping=not args.no_overlap)
     positions = None
     if args.max_positions is None or report.count <= args.max_positions:
         positions = report.positions.tolist()
@@ -108,19 +94,11 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def _cmd_witness(args) -> int:
-    try:
-        window = _parse_window(args.window) if args.window else None
-        primes = tuple(int(p) for p in args.primes.split(",")) if args.primes else None
-        params = construction.WitnessParams(
-            k=args.k,
-            prime_window=window,
-            primes=primes,
-            m_max=args.m_max,
-            tail_cutoff=args.tail_cutoff,
-        )
-        outcome = construction.run_witness_pipeline(params)
-    except (ValueError, construction.ConstructionError, CertificationError) as exc:
-        return _fail(str(exc))
+    window = _parse_window(args.window) if args.window else None
+    primes = tuple(int(p) for p in args.primes.split(",")) if args.primes else None
+    params = construction.WitnessParams(
+        k=args.k, prime_window=window, primes=primes, m_max=args.m_max)
+    outcome = construction.run_witness_pipeline(params)
     if isinstance(outcome, construction.NoWitnessInRange):
         print(
             f"no witness in range: scanned m < {outcome.m_scanned}, "
@@ -133,37 +111,21 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        if args.stdin:
-            text = sys.stdin.read()
-        else:
-            with open(args.file, "r", encoding="ascii") as handle:
-                text = handle.read()
-        cert = construction.certificate_from_json(text)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            ZeroDivisionError) as exc:
-        return _fail(f"unreadable certificate: {exc}")
-    try:
-        report = construction.verify_certificate(cert)
-    except ValueError as exc:  # e.g. a term past the factoring ceiling
-        return _fail(f"certificate outside the supported range: {exc}")
+    text = (sys.stdin.read() if args.stdin
+            else Path(args.file).read_text(encoding="ascii"))
+    report = construction.verify_certificate(
+        construction.certificate_from_json(text))
     for result in report.results:
         print(f"{result.name}\t{'pass' if result.passed else 'FAIL'}\t{result.detail}")
     if not report.ok:
-        print("error: certificate failed verification", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("certificate failed verification")
     return EXIT_OK
 
 
 def _cmd_erdos_run(args) -> int:
-    try:
-        groups = tuple(
-            tuple(int(p) for p in group.split(",")) for group in args.group
-        )
-        params = construction.ErdosRunParams(t=args.t, prime_groups=groups)
-        result = construction.erdos_zero_run(params)
-    except ValueError as exc:
-        return _fail(str(exc))
+    groups = tuple(tuple(int(p) for p in group.split(",")) for group in args.group)
+    result = construction.erdos_zero_run(
+        construction.ErdosRunParams(t=args.t, prime_groups=groups))
     if args.format == "json":
         _emit_json({
             "x": str(result.x),
@@ -181,47 +143,43 @@ def _cmd_erdos_run(args) -> int:
     return EXIT_OK if result.ok else EXIT_USAGE
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator refused as a ValueError."""
+    _, slash, den = text.partition("/")
+    if slash and Fraction(den) == 0:
+        raise ValueError(f"{text!r} has a zero denominator")
+    return Fraction(text)
+
+
 def _cmd_lemmas(args) -> int:
-    try:
-        if args.suite == "lemma2":
-            instances = lemmas.generate_lemma2_instances(
-                args.count, args.y_max, args.seed
-            )
-            failures = 0
-            for instance in instances:
-                report = lemmas.check_lemma2(instance)
-                print(report.record())
-                failures += not report.passed
-            if failures:
-                print(f"error: {failures} instances failed", file=sys.stderr)
-                return EXIT_USAGE
-            return EXIT_OK
-        if args.tails:
-            values = [Fraction(v) for v in args.tails.split(",")]
-            report = lemmas.check_lemma3_decomposition(
-                None, args.k, args.k, args.k, tail_values=values
-            )
-        else:
-            if None in (args.r, args.A, args.M):
-                return _fail("lemma3 needs --tails or all of --r/--A/--M")
-            report = lemmas.check_lemma3_decomposition(
-                (args.r, args.A, args.M),
-                args.k,
-                args.L,
-                args.cutoff,
-                Y=args.Y,
-            )
-        print(report.record())
-        return EXIT_OK if report.passed else EXIT_USAGE
-    except ValueError as exc:
-        return _fail(str(exc))
+    if args.suite == "lemma2":
+        instances = lemmas.generate_lemma2_instances(
+            args.count, args.y_max, args.seed
+        )
+        failures = 0
+        for instance in instances:
+            report = lemmas.check_lemma2(instance)
+            print(report.record())
+            failures += not report.passed
+        if failures:
+            raise ValueError(f"{failures} instances failed")
+        return EXIT_OK
+    if args.tails:
+        values = [_parse_fraction(v) for v in args.tails.split(",")]
+        report = lemmas.check_lemma3_decomposition(
+            None, args.k, args.k, args.k, tail_values=values
+        )
+    else:
+        if None in (args.r, args.A, args.M):
+            raise ValueError("lemma3 needs --tails or all of --r/--A/--M")
+        report = lemmas.check_lemma3_decomposition(
+            (args.r, args.A, args.M), args.k, args.L, args.cutoff, Y=args.Y)
+    print(report.record())
+    return EXIT_OK if report.passed else EXIT_USAGE
 
 
 def _cmd_agp(args) -> int:
-    try:
-        report = lemmas.check_agp_progression(args.x, args.d, args.a)
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = lemmas.check_agp_progression(args.x, args.d, args.a)
     if args.format == "json":
         _emit_json({
             "X": report.X,
@@ -278,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="inclusive prime window low:high")
     p.add_argument("--primes", help="explicit comma-separated prime list")
     p.add_argument("--m-max", type=int, default=100_000)
-    p.add_argument("--tail-cutoff", type=int)
     p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=_cmd_witness)
 
@@ -322,7 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, CertificationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -107,15 +107,13 @@ class WitnessParams:
     k >= 3 is the window-length parameter; index j = 2 is reserved for the
     d(n+2) = 6 slot and never receives a prime group. Primes come either
     from an inclusive window [low, high] or an explicit list. m_max bounds
-    the scan; tail_cutoff of None selects the adaptive policy, and an
-    explicit one must lie in [k, k + 4096], the span verify accepts.
+    the scan.
     """
 
     k: int
     prime_window: tuple[int, int] | None = None
     primes: tuple[int, ...] | None = None
     m_max: int = 100_000
-    tail_cutoff: int | None = None
 
     def __post_init__(self):
         if self.k < 3:
@@ -124,10 +122,6 @@ class WitnessParams:
             raise ValueError("provide exactly one of prime_window or primes")
         if self.m_max < 0:
             raise ValueError("m_max must be >= 0")
-        if self.tail_cutoff is not None and not (
-                self.k <= self.tail_cutoff <= self.k + _CUTOFF_SPAN_CAP):
-            raise ValueError(
-                f"tail_cutoff must lie in [k, k + {_CUTOFF_SPAN_CAP}]")
 
     @property
     def group_indices(self) -> list[int]:
@@ -342,8 +336,7 @@ def search_witness(params: WitnessParams,
         # j+1 distinct primes, exactly divides n + j and 2^(j+1) | d(n+j).
         # With the tail window below, frac(2^(n-1) E) lies in [3/4, 1)
         # (CHECK_RELATIONS["tail"]), which is the digit claim.
-        cutoff = params.tail_cutoff or _adaptive_cutoff(n, params.k)
-        estimate = tail_estimate(n, params.k, cutoff)
+        estimate = tail_estimate(n, params.k, _adaptive_cutoff(n, params.k))
         accepted, window_index = tail_window(estimate)
         if not accepted:
             continue
@@ -457,7 +450,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
         rebuilt = build_witness_system(
             cert.q0, {j: list(g) for j, g in cert.groups.items()}
         )
-    except (ConstructionError, ValueError) as exc:
+    except ValueError as exc:
         report.add("residues", False, f"rebuild failed: {exc}")
     else:
         residues_ok = (
@@ -569,35 +562,42 @@ def certificate_to_json(cert: WitnessCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> WitnessCertificate:
-    data = json.loads(text)
-    tail = data["tail"]
-    return WitnessCertificate(
-        k=int(data["k"]),
-        q0=int(data["q0"]),
-        groups={int(j): tuple(int(p) for p in g)
-                for j, g in data["groups"].items()},
-        prime_products={int(j): int(v) for j, v in data["P"].items()},
-        A=int(data["A"]),
-        B=int(data["B"]),
-        r=int(data["r"]),
-        s=int(data["s"]),
-        m_max=int(data["M"]),
-        m=int(data["m"]),
-        p=int(data["p"]),
-        n=int(data["n"]),
-        prime_hits=int(data["prime_hits"]),
-        tail=TailEstimate(
-            n=int(tail["n"]),
-            k=int(tail["k"]),
-            cutoff=int(tail["cutoff"]),
-            value=Fraction(int(tail["value_num"]), int(tail["value_den"])),
-            remainder_bound=Fraction(int(tail["remainder_num"]),
-                                     int(tail["remainder_den"])),
-        ),
-        tail_window_index=int(data["tail_window_index"]),
-        tail_below_half_k=bool(data["tail_below_half_k"]),
-        checks={name: bool(data["checks"][name]) for name in CHECK_NAMES},
-    )
+    """Parse certificate_to_json output. Any malformed document (bad JSON,
+    nesting too deep to decode, a missing key, a value of the wrong type,
+    an infinite number or a zero denominator) raises ValueError."""
+    try:
+        data = json.loads(text)
+        tail = data["tail"]
+        return WitnessCertificate(
+            k=int(data["k"]),
+            q0=int(data["q0"]),
+            groups={int(j): tuple(int(p) for p in g)
+                    for j, g in data["groups"].items()},
+            prime_products={int(j): int(v) for j, v in data["P"].items()},
+            A=int(data["A"]),
+            B=int(data["B"]),
+            r=int(data["r"]),
+            s=int(data["s"]),
+            m_max=int(data["M"]),
+            m=int(data["m"]),
+            p=int(data["p"]),
+            n=int(data["n"]),
+            prime_hits=int(data["prime_hits"]),
+            tail=TailEstimate(
+                n=int(tail["n"]),
+                k=int(tail["k"]),
+                cutoff=int(tail["cutoff"]),
+                value=Fraction(int(tail["value_num"]), int(tail["value_den"])),
+                remainder_bound=Fraction(int(tail["remainder_num"]),
+                                         int(tail["remainder_den"])),
+            ),
+            tail_window_index=int(data["tail_window_index"]),
+            tail_below_half_k=bool(data["tail_below_half_k"]),
+            checks={name: bool(data["checks"][name]) for name in CHECK_NAMES},
+        )
+    except (ValueError, KeyError, TypeError, AttributeError,
+            ArithmeticError, RecursionError) as exc:
+        raise ValueError(f"unreadable certificate: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -645,13 +645,19 @@ class ErdosRunResult:
 
 def erdos_zero_run(params: ErdosRunParams) -> ErdosRunResult:
     """Solve x + j = G_j**(t-1) (mod G_j**t) for G_j the group products,
-    then verify t**(j+1) | d(x+j) for every j."""
+    then verify t**(j+1) | d(x+j) for every j.
+
+    x >= 1 gives x + j >= G_j**(t-1), so a G_j**(t-1) past FACTOR_LIMIT,
+    where d(x+j) is refused anyway, is refused before G_j**t is built; the
+    test raises G_j to at most 47, as 2**47 > FACTOR_LIMIT.
+    """
     t = params.t
     congruences = []
     for j, group in enumerate(params.prime_groups):
-        g = 1
-        for p in group:
-            g *= p
+        g = prod(group)
+        if g ** min(t - 1, FACTOR_LIMIT.bit_length()) > FACTOR_LIMIT:
+            raise ValueError(f"x + {j} >= {g}**{t - 1} passes {FACTOR_LIMIT}, "
+                             "the exact divisor-count ceiling")
         modulus = g**t
         congruences.append(((g ** (t - 1) - j) % modulus, modulus))
     solution = crt_solve(CongruenceSystem(tuple(congruences)))

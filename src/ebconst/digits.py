@@ -145,14 +145,14 @@ def _pack_weighted(counts: np.ndarray, m: int) -> int:
     return int.from_bytes(acc.astype(np.uint8).tobytes(), "little")
 
 
-def expand_sieve(precision: int, *, memory_budget: int | None = None) -> DigitExpansion:
+def expand_sieve(precision: int) -> DigitExpansion:
     """Expansion from sum_n d(n)/2**n over a divisor-count table.
 
     At scale 2**m the packed table is divisor_tail(1, m), the exact sum
     over n <= m, so the omitted terms add at most tail_majorant(m + 1).
     """
     def enclose(m: int) -> tuple[int, int]:
-        table = divisor_sieve(m, memory_budget=memory_budget)
+        table = divisor_sieve(m)
         return _pack_weighted(table.counts, m), tail_majorant(m + 1)
 
     return _expansion(precision, "sieve", enclose, 0)

@@ -24,7 +24,7 @@ import numpy as np
 # primes up to isqrt(FACTOR_LIMIT) = 10**7 (664,579 of them).
 FACTOR_LIMIT = 10**14
 
-# Default ceiling for divisor_sieve allocations (2 bytes per entry).
+# Ceiling for the prime table and each divisor_sieve table.
 SIEVE_MEMORY_BUDGET = 512 * 1024 * 1024
 
 # The first 13 primes as bases decide primality for every n below
@@ -36,8 +36,16 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
-class SieveBudgetError(MemoryError):
-    """Raised when a requested divisor table would exceed the memory budget."""
+class SieveBudgetError(ValueError):
+    """Raised when a requested table would exceed SIEVE_MEMORY_BUDGET."""
+
+
+def _check_budget(need: int, what: str) -> None:
+    if need > SIEVE_MEMORY_BUDGET:
+        raise SieveBudgetError(
+            f"{what} needs about {need} bytes, past the "
+            f"{SIEVE_MEMORY_BUDGET}-byte sieve memory budget"
+        )
 
 
 def is_prime(n: int) -> bool:
@@ -84,12 +92,7 @@ def _extend_primes(limit: int) -> None:
         return
     grown = min(max(limit, 2 * _prime_limit, 1 << 16),
                 max(limit, isqrt(FACTOR_LIMIT)))
-    need = 9 * ((grown + 1) // 2)
-    if need > SIEVE_MEMORY_BUDGET:
-        raise ValueError(
-            f"a prime table up to {limit} needs about {need} bytes, past the "
-            f"{SIEVE_MEMORY_BUDGET}-byte sieve memory budget"
-        )
+    _check_budget(9 * ((grown + 1) // 2), f"a prime table up to {limit}")
     # odd[i] stands for 2i + 1, and odd[0] for 2 (1 is not prime).
     odd = np.ones((grown + 1) // 2, dtype=bool)
     for i in range(1, (isqrt(grown) - 1) // 2 + 1):
@@ -310,7 +313,7 @@ class DivisorTable:
     counts: np.ndarray
 
 
-def divisor_sieve(limit: int, *, memory_budget: int | None = None) -> DivisorTable:
+def divisor_sieve(limit: int) -> DivisorTable:
     """Divisor-count table for 1..limit from sqrt(limit) strided adds.
 
     Uses the hyperbola form d(m) = 2*#{d | m : d < sqrt(m)} + [m is a
@@ -323,13 +326,7 @@ def divisor_sieve(limit: int, *, memory_budget: int | None = None) -> DivisorTab
     """
     if limit < 1:
         raise ValueError("divisor_sieve requires limit >= 1")
-    budget = SIEVE_MEMORY_BUDGET if memory_budget is None else memory_budget
-    need = 2 * (limit + 1)
-    if need > budget:
-        raise SieveBudgetError(
-            f"divisor table for limit {limit} needs {need} bytes but the "
-            f"budget is {budget}; raise memory_budget or lower the limit"
-        )
+    _check_budget(2 * (limit + 1), f"a divisor table up to {limit}")
     counts = np.zeros(limit + 1, dtype=np.uint16)
     for d in range(1, isqrt(limit) + 1):
         counts[d * d] += 1

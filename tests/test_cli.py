@@ -181,6 +181,8 @@ def _edited(payload: dict, **changes) -> dict:
     "q0_one",
     "q0_negative",
     "q0_past_witness_range",
+    "deeply_nested",
+    "infinite_k",
 ])
 def test_verify_hostile_certificate_exits_2(certificate, hostile):
     k = certificate["k"]
@@ -208,8 +210,13 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
         "q0_negative": _edited(certificate, q0="-3"),
         # A prime past the Miller-Rabin bound, but q0**2 > n + 2 already.
         "q0_past_witness_range": _edited(certificate, q0=str(2**89 - 1)),
+        # Past the JSON decoder's recursion limit.
+        "deeply_nested": "[" * 200_000 + "]" * 200_000,
+        # Serialized as Infinity, which int() cannot convert.
+        "infinite_k": _edited(certificate, k=float("inf")),
     }[hostile]
-    result = run_cli("verify", "--stdin", stdin=json.dumps(payload))
+    text = payload if hostile == "deeply_nested" else json.dumps(payload)
+    result = run_cli("verify", "--stdin", stdin=text)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ")
@@ -223,19 +230,39 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
         assert failed == ["tail", "stored_flags"]
 
 
+def _cap_memory():
+    # The address-space cap keeps a regression from exhausting the machine.
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+
 @pytest.mark.parametrize("args", [
     ("agp", "--x", "10000000000000", "--d", "12", "--a", "7"),
     ("witness", "--k", "3", "--window", "5:10000000000000"),
 ])
 def test_prime_table_past_memory_budget_exits_2(args):
-    # The address-space cap keeps a regression from exhausting the machine.
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
-
-    result = run_cli(*args, preexec_fn=cap_memory)
+    result = run_cli(*args, preexec_fn=_cap_memory)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: a prime table up to 10000000000000 ")
+
+
+@pytest.mark.parametrize("args", [
+    # A divisor table past the sieve memory budget.
+    ("scan", "--n", "300000000"),
+    ("lemmas", "--suite", "lemma3", "--k", "3", "--tails", "1/0"),
+    # x >= 3**(10**8 - 1): refused before that power is built.
+    ("erdos-run", "--t", "100000000", "--group", "3"),
+    # An OSError, not a ValueError.
+    ("scan", "--input", "no-such-digits-file.txt"),
+])
+def test_refusal_exits_2_with_one_error_line(args):
+    start = time.perf_counter()
+    result = run_cli(*args, preexec_fn=_cap_memory)
+    assert time.perf_counter() - start < 10
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
 
 
 def test_erdos_run_tsv():

@@ -66,12 +66,6 @@ class TestSelectPrimes:
         with pytest.raises(ValueError):
             WitnessParams(k=2, prime_window=(5, 20))
 
-    def test_tail_cutoff_span_capped(self):
-        # search must not emit a tail span that verify refuses.
-        WitnessParams(k=3, prime_window=(5, 20), tail_cutoff=3 + 4096)
-        with pytest.raises(ValueError, match="tail_cutoff"):
-            WitnessParams(k=3, prime_window=(5, 20), tail_cutoff=3 + 4097)
-
 
 class TestBuildWitnessSystem:
     def test_reference_moduli(self):
@@ -386,6 +380,31 @@ class TestCertificateJson:
         assert isinstance(payload["paper_refs"], list)
         assert len(payload["paper_refs"]) == 7
 
+    @pytest.mark.parametrize("hostile", [
+        "not_json", "deeply_nested", "top_level_list", "null", "missing_key",
+        "groups_list", "checks_list", "zero_value_den", "infinite_k",
+    ])
+    def test_malformed_documents_raise_value_error(self, desk_certificate,
+                                                   hostile):
+        import json
+
+        good = json.loads(certificate_to_json(desk_certificate))
+        tail = good["tail"]
+        text = {
+            "not_json": "{",
+            "deeply_nested": "[" * 200_000 + "]" * 200_000,
+            "top_level_list": json.dumps([good]),
+            "null": "null",
+            "missing_key": json.dumps({k: v for k, v in good.items() if k != "n"}),
+            "groups_list": json.dumps(dict(good, groups=[["7"], ["11", "13"]])),
+            "checks_list": json.dumps(dict(good, checks=[True] * 7)),
+            "zero_value_den": json.dumps(
+                dict(good, tail=dict(tail, value_den="0"))),
+            "infinite_k": json.dumps(dict(good, k=float("inf"))),
+        }[hostile]
+        with pytest.raises(ValueError, match="^unreadable certificate: "):
+            certificate_from_json(text)
+
 
 class TestErdosZeroRun:
     @pytest.mark.parametrize("t,groups,expected_x", [
@@ -404,6 +423,16 @@ class TestErdosZeroRun:
         assert divisor_count(result.x + 1) % 4 == 0
         assert result.x == 6159 and divisor_count(6159) == 4
         assert divisor_count(6160) == 40
+
+    def test_power_past_the_ceiling_is_refused_up_front(self):
+        # x = 3**29 <= 10**14 still has its divisors counted; at t = 31,
+        # x >= 3**30 would pass the ceiling, and t = 10**8 must not build
+        # 3**(10**8) before saying so.
+        result = erdos_zero_run(ErdosRunParams(t=30, prime_groups=((3,),)))
+        assert result.x == 3**29 and result.ok
+        for t in (31, 10**8):
+            with pytest.raises(ValueError, match="divisor-count ceiling"):
+                erdos_zero_run(ErdosRunParams(t=t, prime_groups=((3,),)))
 
     def test_repeated_prime_rejected(self):
         with pytest.raises(ValueError):

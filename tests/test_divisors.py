@@ -265,9 +265,10 @@ class TestDivisorSieve:
         assert divisor_sieve(6).counts[1:].tolist() == [1, 2, 2, 3, 2, 4]
         assert divisor_sieve(12).counts[12] == 6
 
-    def test_budget_rejection_names_sizes(self):
-        with pytest.raises(SieveBudgetError, match="budget"):
-            divisor_sieve(10**6, memory_budget=1000)
+    def test_budget_rejection_names_sizes(self, monkeypatch):
+        monkeypatch.setattr(divisors, "SIEVE_MEMORY_BUDGET", 1000)
+        with pytest.raises(SieveBudgetError, match="2000002 bytes.*1000-byte"):
+            divisor_sieve(10**6)
 
     def test_invariants_against_independent_sieve(self):
         # Full-range cross-check to 10**6: the additive divisor-count fill
