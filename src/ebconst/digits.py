@@ -21,6 +21,10 @@ from .divisors import divisor_sieve, divisor_tail, tail_majorant
 
 _RETRY_CAP = 10
 
+# expand_naive refuses more bits than this: its work grows as the cube of
+# the precision.
+NAIVE_PRECISION_LIMIT = 1 << 14
+
 
 class CertificationError(RuntimeError):
     """Certification failed to converge within the retry cap."""
@@ -107,8 +111,15 @@ def expand_naive(precision: int) -> DigitExpansion:
     With K = precision + guard + 1 terms, each floored term loses < 1 ulp
     and the omitted tail is below 2**(1-K) <= 1 ulp, so the true scaled
     value lies in [sum, sum + K + 1]. This is the oracle method; the sieve
-    method is the fast path at large precision.
+    method is the fast path at large precision. Precision above
+    NAIVE_PRECISION_LIMIT raises ValueError before any work.
     """
+    if precision > NAIVE_PRECISION_LIMIT:
+        raise ValueError(
+            f"the naive method supports at most {NAIVE_PRECISION_LIMIT} "
+            f"bits, got {precision}"
+        )
+
     def enclose(work: int) -> tuple[int, int]:
         scale = 1 << work
         return sum(scale // ((1 << a) - 1) for a in range(1, work + 2)), work + 2

@@ -1,19 +1,21 @@
 """Exact divisor-function machinery.
 
 Everything here is integer-exact and deterministic: primality via
-Miller-Rabin with the 13 prime bases 2..41, proven correct below psi_13
-(about 2**81.4), factorization by trial division against a cached prime
-table (one read-only int64 array; primes_upto and primes_in_range return
-slices of it) that stops at the square root of the unfactored part, d(n)
-tables by a Dirichlet-hyperbola sieve that needs strided adds only for
-divisors up to sqrt(limit), d(n) over a short run of consecutive integers
-by a segmented sieve that lists every prime power up to FACTOR_LIMIT with
-a multiple in the run and keeps the exact ones, and exact divisor sums
-over arithmetic progressions.
+Miller-Rabin with as many of the 13 prime bases 2..41 as n needs, proven
+correct below psi_13 (about 2**81.4), factorization by trial division
+against a cached prime table (one read-only int64 array; primes_upto and
+primes_in_range return slices of it) that stops at the square root of the
+unfactored part, d(n) tables by a Dirichlet-hyperbola sieve that needs
+strided adds only for divisors up to sqrt(limit), d(n) over a short run of
+consecutive integers by a segmented sieve that finds the primes with a
+multiple in the run by a float64 hit test (exact below 2**53, past
+FACTOR_LIMIT), lists their powers up to FACTOR_LIMIT and keeps the exact
+ones, and exact divisor sums over arithmetic progressions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
@@ -27,13 +29,19 @@ FACTOR_LIMIT = 10**14
 # Ceiling for the prime table and each divisor_sieve table.
 SIEVE_MEMORY_BUDGET = 512 * 1024 * 1024
 
-# The first 13 primes as bases decide primality for every n below
-# psi_13 = 3317044064679887385961981, about 2**81.4 (Sorenson and Webster
-# 2015), comfortably past FACTOR_LIMIT and the 64-bit range. The first 12
-# are not enough: psi_12 = 318665857834031151167461 is a strong pseudoprime
-# to every base up to 37.
+# Miller-Rabin with the first k primes as bases decides primality for every
+# n < psi_k, the least strong pseudoprime to all of them (Jaeschke 1993;
+# Jiang and Deng 2014; Sorenson and Webster 2015). psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11, so 8, 10 and 11 bases are never chosen. psi_13,
+# about 2**81.4, bounds the deterministic range, well past FACTOR_LIMIT and
+# the 64-bit range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 class SieveBudgetError(ValueError):
@@ -50,20 +58,22 @@ def _check_budget(need: int, what: str) -> None:
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < psi_13 (about 2**81.4):
-    Miller-Rabin with the 13 prime bases 2..41; larger n raise ValueError."""
+    Miller-Rabin with the first k prime bases for the least k with
+    n < psi_k; larger n raise ValueError."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if n >= _MR_DETERMINISTIC_BOUND:
+    k = bisect_right(_MR_PSI, n) + 1
+    if k > len(_MR_WITNESSES):
         raise ValueError(f"{n} exceeds the deterministic witness range")
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -76,18 +86,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Every prime <= _prime_limit, ascending, as one read-only int64 array.
-# A regrow binds a new array, so slices handed out earlier stay valid.
+# Every prime <= _prime_limit, ascending, as one read-only int64 array, and
+# its read-only float64 twin for the hit test of divisor_counts. A regrow
+# binds new arrays, so slices handed out earlier stay valid.
 _prime_array = np.zeros(0, dtype=np.int64)
 _prime_array.flags.writeable = False
+_prime_floats = np.zeros(0, dtype=np.float64)
+_prime_floats.flags.writeable = False
 _prime_limit = 0
 
 
 def _extend_primes(limit: int) -> None:
-    """Sieve the odd integers up to at least limit into _prime_array, at
-    least doubling it but never past max(limit, isqrt(FACTOR_LIMIT)). A
-    sieve byte plus at most one int64 per odd integer must fit the budget."""
-    global _prime_array, _prime_limit
+    """Sieve the odd integers up to at least limit into _prime_array and
+    _prime_floats, at least doubling them but never past max(limit,
+    isqrt(FACTOR_LIMIT)).
+
+    The peak is max(sieve + table, table + twin): the one-byte-per-odd
+    sieve is freed before the float64 twin is built. Each term fits in
+    the 9 bytes per odd integer checked against the budget: the sieve and
+    at most one int64 per odd integer, and 16 bytes per prime, since
+    fewer than 9/16 of the odd integers below any table (>= 2**16) are
+    prime.
+    """
+    global _prime_array, _prime_floats, _prime_limit
     if limit <= _prime_limit:
         return
     grown = min(max(limit, 2 * _prime_limit, 1 << 16),
@@ -100,11 +121,15 @@ def _extend_primes(limit: int) -> None:
             p = 2 * i + 1
             odd[p * p // 2 :: p] = False
     primes = np.flatnonzero(odd)
+    del odd
     primes *= 2
     primes += 1
     primes[0] = 2
     primes.flags.writeable = False
-    _prime_array, _prime_limit = primes, grown
+    floats = primes.astype(np.float64)
+    floats.flags.writeable = False
+    # The limit is bound last: a reader that sees it sees both new arrays.
+    _prime_array, _prime_floats, _prime_limit = primes, floats, grown
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -222,13 +247,41 @@ def _ranks(lengths: np.ndarray) -> np.ndarray:
 # Integers per segment of divisor_counts; bounds its work arrays.
 _SEGMENT = 1 << 12
 
+# Primes per step of the hit test, so that each step's float64 quotients
+# (256 KiB) stay in L2.
+_PRIME_CHUNK = 1 << 15
+
+
+def _with_multiple(primes: np.ndarray, floats: np.ndarray, start: int,
+                   end: int) -> np.ndarray:
+    """The primes p in primes (floats: the same values as float64) with a
+    multiple in [start, end], for 1 <= start <= end < 2**53.
+
+    The largest multiple of p up to end is k*p, k = floor(end/p), and
+    floor(fl(end/p)) is k exactly: a non-integer end/p lies at least 1/p
+    below k + 1, and rounding moves it by at most end * 2**-53 / p < 1/p.
+    k*p <= end < 2**53 is then exact as well, so p has a multiple in the
+    run exactly when k*p >= start. The float division vectorises; an int64
+    remainder would not.
+    """
+    hits = []
+    for i in range(0, len(primes), _PRIME_CHUNK):
+        chunk = floats[i : i + _PRIME_CHUNK]
+        x = np.divide(float(end), chunk)
+        np.floor(x, out=x)
+        x *= chunk
+        hits.append(primes[i : i + _PRIME_CHUNK][x >= float(start)])
+    return hits[0] if len(hits) == 1 else np.concatenate([primes[:0], *hits])
+
 
 def divisor_counts(lo: int, count: int) -> list[int]:
     """[d(lo), d(lo + 1), ..., d(lo + count - 1)] by a segmented sieve.
 
-    Each segment of consecutive integers gets the first multiple of every
-    prime p <= isqrt(hi) from one vectorised (-start) % p. Every prime
-    with a multiple there lists its powers q = p**e up to cap(p), the
+    Each segment of consecutive integers finds the primes p <= isqrt(hi)
+    with a multiple in it by one float64 hit test per prime
+    (_with_multiple: floor(end / p) * p >= start, exact for end < 2**53,
+    which FACTOR_LIMIT < 2**47 keeps), over chunks of _PRIME_CHUNK
+    primes. Every such prime lists its powers q = p**e up to cap(p), the
     largest e with p**e <= FACTOR_LIMIT (so q fits int64), and each power
     its multiples in the segment. The pairs where q divides exactly
     (n // q % p != 0) multiply d(n) by e + 1 and divide q out of n; a
@@ -247,10 +300,11 @@ def divisor_counts(lo: int, count: int) -> list[int]:
             f"divisor-count ceiling of this implementation; got n = {hi}"
         )
     primes = primes_upto(isqrt(hi))
+    floats = _prime_floats[: len(primes)]
     out: list[int] = []
     for start in range(lo, hi + 1, _SEGMENT):
         size = min(_SEGMENT, hi + 1 - start)
-        p = primes[(-start) % primes < size]
+        p = _with_multiple(primes, floats, start, start + size - 1)
         caps = _exponent_caps(p)
         base = p.repeat(caps)
         exponent = _ranks(caps) + 1

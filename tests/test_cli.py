@@ -265,6 +265,17 @@ def test_refusal_exits_2_with_one_error_line(args):
     assert result.stderr.count("\n") == 1
 
 
+def test_naive_digits_past_the_work_bound_exits_2_at_once():
+    start = time.perf_counter()
+    result = run_cli("digits", "--n", "300000000", "--method", "naive",
+                     preexec_fn=_cap_memory)
+    assert time.perf_counter() - start < 1
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: the naive method supports at most "
+                             "16384 bits, got 300000000\n")
+
+
 def test_erdos_run_tsv():
     result = run_cli("erdos-run", "--t", "2", "--group", "3", "--group", "5,7")
     assert result.returncode == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ebconst.digits import (
     _RETRY_CAP,
+    NAIVE_PRECISION_LIMIT,
     CertificationError,
     FractionEnclosure,
     _certify,
@@ -79,6 +80,11 @@ class TestExpansions:
             expand_naive(0)
         with pytest.raises(ValueError):
             expand_sieve(-3)
+
+    def test_naive_refuses_past_its_work_bound(self):
+        for precision in (NAIVE_PRECISION_LIMIT + 1, 300_000_000):
+            with pytest.raises(ValueError, match="at most 16384 bits"):
+                expand_naive(precision)
 
 
 class TestCertify:

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from ebconst import divisors
 from ebconst.divisors import (
+    _MR_PSI,
+    _MR_WITNESSES,
     _POWER_ROOTS,
+    _PRIME_CHUNK,
     _SEGMENT,
     FACTOR_LIMIT,
     SieveBudgetError,
@@ -189,6 +192,43 @@ class TestPrimality:
         for n in primes + semiprimes + odd:
             assert is_prime(n) == sympy.isprime(n), n
 
+    @staticmethod
+    def strong_probable_prime(n: int, a: int) -> bool:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            return True
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                return True
+        return False
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_psi_k_is_composite(self, k):
+        # psi_k passes the first k bases, so is_prime must use k + 1 of them.
+        psi = _MR_PSI[k - 1]
+        assert all(self.strong_probable_prime(psi, a)
+                   for a in _MR_WITNESSES[:k])
+        assert not sympy.isprime(psi)
+        assert not is_prime(psi)
+
+    def test_sympy_agreement_in_every_base_band(self):
+        # Seeded n in [psi_(k-1), psi_k), each band read with k bases.
+        rng = random.Random(1613)
+        for low, high in zip((3, *_MR_PSI), _MR_PSI):
+            if low == high:
+                continue
+            samples = [rng.randrange(low, high) | 1 for _ in range(40)]
+            samples += [sympy.prevprime(high), high - 2, low + 2]
+            samples += [sympy.nextprime(rng.randrange(low, high))
+                        for _ in range(5)]
+            for n in samples:
+                if n < high:
+                    assert is_prime(n) == sympy.isprime(n), n
+
     def test_prime_ranges(self):
         assert primes_in_range(5, 20).tolist() == [5, 7, 11, 13, 17, 19]
         assert primes_in_range(14, 16).tolist() == []
@@ -199,6 +239,7 @@ class TestPrimality:
 def fresh_prime_table(monkeypatch):
     """An empty prime table for one test; the cached one is restored after."""
     monkeypatch.setattr(divisors, "_prime_array", divisors._prime_array[:0])
+    monkeypatch.setattr(divisors, "_prime_floats", divisors._prime_floats[:0])
     monkeypatch.setattr(divisors, "_prime_limit", 0)
 
 
@@ -232,6 +273,13 @@ class TestPrimeTable:
         assert divisors._prime_limit >= 3 * 2**16
         assert before.tolist() == expected
         assert primes_in_range(100, 200).tolist() == expected
+
+    def test_float_twin_matches_the_table(self, fresh_prime_table):
+        for limit in (100, 3 * 2**16):
+            primes_upto(limit)
+            floats = divisors._prime_floats
+            assert floats.dtype == np.float64 and not floats.flags.writeable
+            assert floats.tolist() == divisors._prime_array.tolist()
 
     def test_regrow_stops_at_the_factoring_root(self, fresh_prime_table):
         primes_upto(6 * 10**6)
@@ -403,6 +451,70 @@ class TestDivisorCounts:
             divisor_counts(0, 4)
         with pytest.raises(ValueError):
             divisor_counts(5, 0)
+
+
+def _sympy_runs(lo: int, count: int) -> tuple[list[int], list[int]]:
+    """(d(n) for n in the run, primes <= isqrt(hi) dividing some n), by sympy."""
+    bound = isqrt(lo + count - 1)
+    counts, hit = [], set()
+    for n in range(lo, lo + count):
+        factors = sympy.factorint(n)
+        counts.append(prod(e + 1 for e in factors.values()))
+        hit.update(p for p in factors if p <= bound)
+    return counts, sorted(hit)
+
+
+# The largest primes below 10**7 = isqrt(FACTOR_LIMIT), and the last prime of
+# the first hit-test chunk and the first of the second.
+P1, P2 = 9999991, 9999973
+C1, C2 = primes_upto(10**6)[_PRIME_CHUNK - 1 : _PRIME_CHUNK + 1].tolist()
+
+
+def _next_to(a: int, b: int, low: int) -> int:
+    """The least n >= low with a | n and b | n + 1."""
+    n = a * (-pow(a, -1, b) % b)
+    return n + -(-(low - n) // (a * b)) * a * b
+
+
+class TestHitTest:
+    """The float64 multiple test of divisor_counts against sympy."""
+
+    def test_factor_limit_keeps_the_hit_test_exact(self):
+        # floor(end / p) in float64 is exact only for end < 2**53; lifting
+        # the factoring ceiling past it needs another hit test.
+        assert FACTOR_LIMIT < 2**53
+
+    @pytest.mark.parametrize("lo,count", [
+        (P1 * P1, 9),                   # starts at p**2, p = isqrt(hi)
+        (P2 * (P2 + 30), 20),           # starts at a multiple of p
+        (P1 * P2, 1),                   # a single term p*q
+        (P2 * (P2 + 30) + 1, 20),       # starts one past a multiple of p
+        (P1 * P1 + 1, 30),
+        (P2 * (P1 + 4) - 15, 16),       # ends on a multiple of p
+        (P1 * P1 - 40, 41),             # ends on p**2
+        (_next_to(C1, C2, C2**2), 2),   # one hit either side of the chunk edge
+        (_next_to(C1, C2, 2**40) - 5, 12),
+        (_next_to(C2, C1, 2**41), 2),
+        (FACTOR_LIMIT - 40, 40),        # ends at FACTOR_LIMIT - 1
+        (FACTOR_LIMIT - 39, 40),        # ends at FACTOR_LIMIT
+    ])
+    def test_matches_sympy(self, lo, count):
+        hi = lo + count - 1
+        counts, hit = _sympy_runs(lo, count)
+        primes = primes_upto(isqrt(hi))
+        floats = divisors._prime_floats[: len(primes)]
+        assert divisors._with_multiple(primes, floats, lo, hi).tolist() == hit
+        assert divisor_counts(lo, count) == counts
+
+    def test_across_segment_and_chunk_edges(self):
+        # Two segments, at a height where the primes fill two chunks; sympy
+        # checks 24 terms at each end and either side of the segment edge.
+        lo = _next_to(C1, C2, 2**40) - _SEGMENT + 3
+        count = _SEGMENT + 12
+        assert len(primes_upto(isqrt(lo + count))) > _PRIME_CHUNK
+        counts = divisor_counts(lo, count)
+        for i in (0, _SEGMENT - 12, count - 24):
+            assert counts[i : i + 24] == _sympy_runs(lo + i, 24)[0], i
 
 
 class TestDivisorTail:
