@@ -28,12 +28,10 @@ from .crt import CongruenceSystem, CrtSolution, NonCoprimeModuliError, crt_solve
 from .digits import (
     CertificationError,
     DigitExpansion,
-    FractionEnclosure,
     bits_to_hex,
     digit_window,
     expand_naive,
     expand_sieve,
-    fractional_part_enclosure,
     hex_to_bits,
 )
 from .divisors import (
@@ -46,6 +44,7 @@ from .divisors import (
     divisor_tail,
     factorize,
     is_prime,
+    pack_weighted,
     primes_in_range,
     primes_upto,
     progression_divisor_sum,

@@ -3,21 +3,22 @@
 Two independent expansion algorithms (reciprocal series and divisor-sieve
 series) plus positional digit extraction, which reads the bits at
 position n from the divisor route frac(2**(n-1) E) = frac(sum_l
-d(n+l)/2**(l+1)) over one short run of divisor counts. Every emitted digit
-is certified by one loop, _certify: each path encloses its scaled value in
-exact integers [lower, lower + slack], and digits are released only when
-both ends agree once the guard bits are discarded. Position 1 is the first
-bit after the binary point; the integer part (1 for E) is kept separately.
+d(n+l)/2**(l+1)) over one short run of divisor counts; the sieve series
+and the divisor route both sum through divisors.pack_weighted. Every
+emitted digit is certified by one loop, _certify: each path encloses its
+scaled value in exact integers [lower, lower + slack], and digits are
+released only when both ends agree once the guard bits are discarded.
+Position 1 is the first bit after the binary point; the integer part (1
+for E) is kept separately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .divisors import divisor_sieve, divisor_tail, tail_majorant
+from .divisors import divisor_sieve, divisor_tail, pack_weighted, tail_majorant
 
 _RETRY_CAP = 10
 
@@ -36,38 +37,15 @@ class DigitExpansion:
 
     bits[0] is position 1 (first bit after the binary point); certified
     means the lower/upper enclosure of 2**(precision+guard_bits) * E agreed
-    on every emitted bit after the guard bits were discarded. terms_used
-    counts the series terms summed in that accepted attempt.
+    on every emitted bit after the guard bits were discarded.
     """
 
     precision: int
     integer_part: int
     bits: str
     guard_bits: int
-    terms_used: int
     method: str
     certified: bool
-
-
-@dataclass(frozen=True)
-class FractionEnclosure:
-    """Exact dyadic bracket lower <= frac(2**(n-1) E) <= upper."""
-
-    lower: Fraction
-    upper: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-    def membership(self, lo: Fraction, hi: Fraction) -> bool | None:
-        """True/False membership in [lo, hi); None when the bracket straddles
-        an endpoint and cannot decide."""
-        if self.lower >= lo and self.upper < hi:
-            return True
-        if self.upper < lo or self.lower >= hi:
-            return False
-        return None
 
 
 def _ceil_log2(x: int) -> int:
@@ -95,14 +73,14 @@ def _bits(value: int, width: int) -> str:
     return format(value & ((1 << width) - 1), "b").zfill(width)
 
 
-def _expansion(precision: int, method: str, enclose, extra: int) -> DigitExpansion:
-    """Certified expansion of E; enclose(work) sums work + extra terms."""
+def _expansion(precision: int, method: str, enclose) -> DigitExpansion:
+    """Certified expansion of E from enclose(work), as for _certify."""
     if precision < 1:
         raise ValueError("precision must be >= 1")
     lower, _, guard = _certify(enclose, precision, _ceil_log2(precision) + 8)
     value = lower >> guard
     return DigitExpansion(precision, value >> precision, _bits(value, precision),
-                          guard, precision + guard + extra, method, True)
+                          guard, method, True)
 
 
 def expand_naive(precision: int) -> DigitExpansion:
@@ -124,36 +102,7 @@ def expand_naive(precision: int) -> DigitExpansion:
         scale = 1 << work
         return sum(scale // ((1 << a) - 1) for a in range(1, work + 2)), work + 2
 
-    return _expansion(precision, "naive", enclose, 1)
-
-
-def _pack_weighted(counts: np.ndarray, m: int) -> int:
-    """sum(counts[n] * 2**(m - n) for n in 1..m), exact.
-
-    Bytes are assembled in one vectorized pass: terms are grouped eight to
-    a byte position, three-byte group values are added at overlapping
-    offsets, and carries are normalized before int.from_bytes. Entries
-    must be below 2**16, as in a DivisorTable, so a group is below
-    2**16 * 255 < 2**24 and the work arrays fit in 32 bits; only the
-    16-bit table is copied in full, and the work arrays hold one entry per
-    eight terms.
-    """
-    c = np.zeros(-(-m // 8) * 8, np.uint16)
-    c[:m] = counts[m:0:-1]  # c[i] weights 2**i
-    group = c[0::8].astype(np.uint32)
-    for i in range(1, 8):
-        group += c[i::8].astype(np.uint32) << i
-    acc = np.zeros(len(group) + 3, np.uint32)
-    acc[: len(group)] += group & 0xFF
-    acc[1 : len(group) + 1] += (group >> 8) & 0xFF
-    acc[2 : len(group) + 2] += group >> 16
-    while True:
-        carry = acc >> 8
-        if not carry.any():
-            break
-        acc &= 0xFF
-        acc[1:] += carry[:-1]
-    return int.from_bytes(acc.astype(np.uint8).tobytes(), "little")
+    return _expansion(precision, "naive", enclose)
 
 
 def expand_sieve(precision: int) -> DigitExpansion:
@@ -163,58 +112,23 @@ def expand_sieve(precision: int) -> DigitExpansion:
     over n <= m, so the omitted terms add at most tail_majorant(m + 1).
     """
     def enclose(m: int) -> tuple[int, int]:
-        table = divisor_sieve(m)
-        return _pack_weighted(table.counts, m), tail_majorant(m + 1)
+        return pack_weighted(divisor_sieve(m).counts[1:]), tail_majorant(m + 1)
 
-    return _expansion(precision, "sieve", enclose, 0)
-
-
-def _frac_series_scaled(pos: int, work_bits: int) -> tuple[int, int]:
-    """Scaled enclosure of 2**(pos-1) * E before reduction mod 1.
-
-    Since 2**(pos-1) mod (2**a - 1) = 2**((pos-1) mod a), term a of the
-    reciprocal series contributes 2**((pos-1) mod a)/(2**a - 1) to the
-    fractional part. Summing a = 2..pos+work_bits floored at work_bits
-    fractional bits loses < 1 ulp per term, and the omitted tail is below
-    2**(pos - (pos+work_bits)) = 1 ulp. Returns (lower, slack) at scale
-    2**work_bits. It costs O(pos) big-integer divisions and shares no
-    arithmetic with the divisor route, so it serves as that route's oracle.
-    """
-    top = pos + work_bits
-    lower = 0
-    for a in range(2, top + 1):
-        e = (pos - 1) % a
-        if a - e > work_bits:  # floored term is zero; its loss is in slack
-            continue
-        lower += (1 << (work_bits + e)) // ((1 << a) - 1)
-    return lower, top
-
-
-def _frac_enclosure(pos: int, keep: int) -> tuple[int, int, int]:
-    """(lower, slack, work): frac(2**(pos-1) E) lies in [lower, lower +
-    slack] / 2**work, certified on keep bits, by the divisor route (the
-    terms d(t)/2**t with t < pos are integers at this scaling)."""
-    lower, slack, guard = _certify(lambda work: divisor_tail(pos, work), keep,
-                                   _ceil_log2(tail_majorant(pos)) + 8)
-    work = keep + guard
-    return lower & ((1 << work) - 1), slack, work
+    return _expansion(precision, "sieve", enclose)
 
 
 def digit_window(pos: int, width: int) -> str:
-    """Bits of E at positions pos..pos+width-1 without earlier digits."""
+    """Bits of E at positions pos..pos+width-1 without earlier digits.
+
+    At scale 2**work the divisor tail from pos encloses 2**(pos-1) E less
+    an integer (the terms d(t)/2**t with t < pos), so its low work bits
+    certify the window once _certify settles them.
+    """
     if pos < 1 or width < 1:
         raise ValueError("pos and width must be >= 1")
-    lower, _, work = _frac_enclosure(pos, width)
-    return _bits(lower >> (work - width), width)
-
-
-def fractional_part_enclosure(n: int, precision: int = 32) -> FractionEnclosure:
-    """Rigorous enclosure of frac(2**(n-1) * E) of width < 2**-precision."""
-    if n < 1 or precision < 1:
-        raise ValueError("n and precision must be >= 1")
-    lower, slack, work = _frac_enclosure(n, precision)
-    return FractionEnclosure(Fraction(lower, 1 << work),
-                             Fraction(lower + slack, 1 << work))
+    lower, _, guard = _certify(lambda work: divisor_tail(pos, work), width,
+                               _ceil_log2(tail_majorant(pos)) + 8)
+    return _bits(lower >> guard, width)
 
 
 def _check_bits(s: str, name: str) -> np.ndarray:

@@ -10,7 +10,10 @@ strided adds only for divisors up to sqrt(limit), d(n) over a short run of
 consecutive integers by a segmented sieve that finds the primes with a
 multiple in the run by a float64 hit test (exact below 2**53, past
 FACTOR_LIMIT), lists their powers up to FACTOR_LIMIT and keeps the exact
-ones, and exact divisor sums over arithmetic progressions.
+ones, and exact divisor sums over arithmetic progressions. One kernel,
+pack_weighted, computes every weighted divisor sum sum_i d_i * 2**(-i)
+at a fixed scale: divisor_tail (the digit-window and witness tails),
+lemma3's per-row tails and the whole table of expand_sieve.
 """
 
 from __future__ import annotations
@@ -247,6 +250,11 @@ def _ranks(lengths: np.ndarray) -> np.ndarray:
 # Integers per segment of divisor_counts; bounds its work arrays.
 _SEGMENT = 1 << 12
 
+# What one entry of a divisor_counts run costs its caller at most: the
+# list slot, and pack_weighted's int64 copy, uint16 reversal, byte groups
+# and result.
+_BYTES_PER_COUNT = 24
+
 # Primes per step of the hit test, so that each step's float64 quotients
 # (256 KiB) stay in L2.
 _PRIME_CHUNK = 1 << 15
@@ -299,6 +307,7 @@ def divisor_counts(lo: int, count: int) -> list[int]:
             f"divisor_counts supports n <= {FACTOR_LIMIT}, the exact "
             f"divisor-count ceiling of this implementation; got n = {hi}"
         )
+    _check_budget(_BYTES_PER_COUNT * count, f"a run of {count} divisor counts")
     primes = primes_upto(isqrt(hi))
     floats = _prime_floats[: len(primes)]
     out: list[int] = []
@@ -336,14 +345,61 @@ def tail_majorant(end: int) -> int:
     return 2 * _isqrt_ceil(end) + 2
 
 
+# Runs up to this length fold in Python ints; longer ones pack bytes in
+# NumPy. The pack overtakes the fold at about 768 entries for a list from
+# divisor_counts and about 384 for a uint16 table slice.
+_FOLD_MAX = 512
+
+
+def pack_weighted(counts) -> int:
+    """sum(counts[i] * 2**(len(counts) - 1 - i)), exact, for a list or
+    array of integers in [0, 2**16).
+
+    A run of at most _FOLD_MAX entries is folded as Python ints (an array
+    goes through tolist first: NumPy scalars would wrap). A longer run is
+    packed in one vectorised pass: terms are grouped eight to a byte
+    position, three-byte group values are added at overlapping offsets,
+    and carries are normalized before int.from_bytes. An entry outside
+    [0, 2**16) in a longer run raises ValueError; below 2**16 a group is
+    below 2**16 * 255 < 2**24, so the work arrays fit in 32 bits, and they
+    hold one entry per eight terms.
+    """
+    m = len(counts)
+    if m <= _FOLD_MAX:
+        if isinstance(counts, np.ndarray):
+            counts = counts.tolist()
+        scaled = 0
+        for d in counts:
+            scaled = (scaled << 1) + d
+        return scaled
+    values = np.asarray(counts)
+    if values.dtype != np.uint16 and (values.min() < 0
+                                      or values.max() >= 1 << 16):
+        raise ValueError("pack_weighted entries must lie in [0, 2**16)")
+    c = np.zeros(-(-m // 8) * 8, np.uint16)
+    c[:m] = values[::-1]  # c[i] weights 2**i
+    group = c[0::8].astype(np.uint32)
+    for i in range(1, 8):
+        group += c[i::8].astype(np.uint32) << i
+    acc = np.zeros(len(group) + 3, np.uint32)
+    acc[: len(group)] += group & 0xFF
+    acc[1 : len(group) + 1] += (group >> 8) & 0xFF
+    acc[2 : len(group) + 2] += group >> 16
+    while True:
+        carry = acc >> 8
+        if not carry.any():
+            break
+        acc &= 0xFF
+        acc[1:] += carry[:-1]
+    return int.from_bytes(acc.astype(np.uint8).tobytes(), "little")
+
+
 def divisor_tail(start: int, count: int) -> tuple[int, int]:
     """Weighted divisor tail (scaled, slack) at scale 2**count: scaled =
     sum d(start + i) * 2**(count - 1 - i) over 0 <= i < count is exact, and
     the terms i >= count add at most slack = tail_majorant(start + count)."""
-    scaled = 0
-    for d in divisor_counts(start, count):
-        scaled = (scaled << 1) + d
-    return scaled, tail_majorant(start + count)
+    return (pack_weighted(divisor_counts(start, count)),
+            tail_majorant(start + count))
 
 
 def valuation(n: int, p: int) -> int:

@@ -19,6 +19,7 @@ from .bounds import ln_bounds, sqrt_bounds
 from .divisors import (
     divisor_counts,
     factorize,
+    pack_weighted,
     primes_upto,
     progression_divisor_sum,
     tail_majorant,
@@ -261,8 +262,7 @@ def check_lemma3_decomposition(
     values = []
     joint_remainder = Fraction(0)
     for n, row in zip(ns, rows):
-        scaled = sum(d << (cutoff - ell) for ell, d in enumerate(row, start=k))
-        values.append(Fraction(scaled, 1 << cutoff))
+        values.append(Fraction(pack_weighted(row), 1 << cutoff))
         joint_remainder += Fraction(tail_majorant(n + cutoff + 1), 1 << cutoff)
     total = sum(values, Fraction(0))
     exceed = sum(1 for v in values if _exceeds_threshold(v, k))

@@ -89,16 +89,15 @@ def test_criterion_4_performance_floor():
     _report(4, "performance floor", ok, elapsed)
 
 
-def test_criterion_5_end_to_end_witness(witness_run):
+def test_criterion_5_end_to_end_witness(witness_run, clausen):
     cert, search_elapsed = witness_run
     start = time.monotonic()
     report = eb.verify_certificate(cert)
     ok = report.ok and cert.all_checks_pass
 
-    # Digit claim, both ways.
+    # Digit claim, both ways: the divisor route and the Clausen oracle.
     ok = ok and eb.digit_window(cert.n, 2) == "11"
-    enclosure = eb.fractional_part_enclosure(cert.n, 64)
-    ok = ok and enclosure.membership(Fraction(3, 4), Fraction(1)) is True
+    ok = ok and clausen(cert.n, 2) == "11"
 
     # Brute-force rescan of every m below the accepted one with an
     # independent implementation: no earlier m may satisfy the acceptance

@@ -254,6 +254,10 @@ def test_prime_table_past_memory_budget_exits_2(args):
     ("erdos-run", "--t", "100000000", "--group", "3"),
     # An OSError, not a ValueError.
     ("scan", "--input", "no-such-digits-file.txt"),
+    # A run of 10**9 divisor counts past the sieve memory budget.
+    ("window", "--pos", "1", "--width", "1000000000"),
+    ("lemmas", "--suite", "lemma3", "--k", "3", "--L", "16",
+     "--cutoff", "1000000000", "--r", "1000003", "--A", "30", "--M", "8"),
 ])
 def test_refusal_exits_2_with_one_error_line(args):
     start = time.perf_counter()

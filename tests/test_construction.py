@@ -22,7 +22,7 @@ from ebconst.construction import (
     tail_window,
     verify_certificate,
 )
-from ebconst.digits import fractional_part_enclosure
+from ebconst.digits import digit_window
 from ebconst.divisors import divisor_count, is_prime, valuation
 
 
@@ -306,8 +306,7 @@ class TestDerivedClaims:
     def test_accepted_digits_lie_in_the_top_quarter(self, primes):
         cert = run_witness_pipeline(WitnessParams(k=3, primes=primes))
         assert not isinstance(cert, NoWitnessInRange)
-        enclosure = fractional_part_enclosure(cert.n, 64)
-        assert enclosure.membership(Fraction(3, 4), Fraction(1)) is True
+        assert digit_window(cert.n, 2) == "11"
 
     def test_search_and_verify_factor_nothing(self, monkeypatch):
         import ebconst.construction as construction

@@ -10,18 +10,14 @@ from ebconst.digits import (
     _RETRY_CAP,
     NAIVE_PRECISION_LIMIT,
     CertificationError,
-    FractionEnclosure,
     _certify,
-    _frac_series_scaled,
-    _pack_weighted,
     bits_to_hex,
     digit_window,
     expand_naive,
     expand_sieve,
-    fractional_part_enclosure,
     hex_to_bits,
 )
-from ebconst.divisors import divisor_counts, divisor_tail, tail_majorant
+from ebconst.divisors import divisor_counts, pack_weighted, tail_majorant
 
 
 # A full expansion just past 2**20, the old hand-over point between the
@@ -133,26 +129,16 @@ class TestTailMajorant:
 
 
 class TestPacking:
-    @given(st.lists(st.integers(min_value=0, max_value=1500),
-                    min_size=1, max_size=300))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_horner(self, values):
-        counts = np.array([0] + values, dtype=np.int64)
-        m = len(values)
-        expected = 0
-        for n in range(1, m + 1):
-            expected = (expected << 1) + values[n - 1]
-        assert _pack_weighted(counts, m) == expected
-
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 1000, 4097])
     def test_uint16_tables_match_big_int_sum(self, m):
-        # Full 16-bit range, plus an all-ones table whose byte groups carry
-        # at every position; entries past m must not leak into the sum.
+        # The slice expand_sieve packs, over the full 16-bit range, plus an
+        # all-ones table whose byte groups carry at every position; entries
+        # past m must not leak into the sum.
         rng = np.random.default_rng(m)
         for counts in (rng.integers(0, 1 << 16, m + 5, dtype=np.uint16),
                        np.full(m + 5, 0xFFFF, np.uint16)):
             expected = sum(int(counts[n]) << (m - n) for n in range(1, m + 1))
-            assert _pack_weighted(counts, m) == expected
+            assert pack_weighted(counts[1 : m + 1]) == expected
 
 
 class TestDigitWindow:
@@ -172,25 +158,15 @@ class TestDigitWindow:
             pos = rng.randint(1, 16384 - width)
             assert digit_window(pos, width) == bits[pos - 1 : pos - 1 + width]
 
-    def test_routes_agree(self):
-        # The reciprocal-series route and the divisor-tail route enclose
-        # real numbers that agree modulo 1; after discarding each route's
-        # integer part the fractional enclosures must intersect.
+    def test_routes_agree(self, clausen):
+        # The divisor route against the Clausen oracle, which shares no
+        # divisor count with it, up to the 10**14 golden position.
         rng = random.Random(11)
         positions = [rng.randint(100, 5000) for _ in range(10)]
-        for pos in positions + [(1 << 20) - 3, (1 << 20) + 5]:
-            work = 56
-            scale = 1 << work
-            brackets = []
-            for route in (_frac_series_scaled, divisor_tail):
-                lower, slack = route(pos, work)
-                whole = lower >> work
-                assert whole == (lower + slack) >> work  # integer part settled
-                base = whole << work
-                brackets.append((Fraction(lower - base, scale),
-                                 Fraction(lower + slack - base, scale)))
-            (lo_a, hi_a), (lo_b, hi_b) = brackets
-            assert max(lo_a, lo_b) <= min(hi_a, hi_b)
+        for pos in positions + [(1 << 20) - 3, (1 << 20) + 5, 10**12 + 1,
+                                2 * 10**12 + 12345, 10**13 + 7,
+                                99999999999000]:
+            assert digit_window(pos, 64) == clausen(pos, 64), pos
 
     def test_large_position_uses_divisor_route(self):
         # Divisor counts near 10**9, with no digit before the window.
@@ -203,6 +179,12 @@ class TestDigitWindow:
         # with a full expansion.
         for pos in ((1 << 20) - 4, (1 << 20) + 4):
             assert digit_window(pos, 8) == bits_past_2_20[pos - 1 : pos + 7]
+
+    @pytest.mark.parametrize("pos,width", [(1, 4096), (777, 5000),
+                                           ((1 << 20) - 4100, 4100)])
+    def test_wide_windows_match_expansion(self, bits_past_2_20, pos, width):
+        # Past 512 terms the tail is packed by the vectorised kernel.
+        assert digit_window(pos, width) == bits_past_2_20[pos - 1 : pos - 1 + width]
 
     def test_seeded_windows_up_to_2_20_match_expansion(self, bits_past_2_20):
         rng = random.Random(31)
@@ -220,58 +202,39 @@ class TestDigitWindow:
 
 
 class TestFractionalEnclosure:
+    # frac(2**(n-1) E) in a quarter band [a/4, (a+1)/4) is the two-bit
+    # window of a at position n.
     def test_first_position_bits(self):
-        enclosure = fractional_part_enclosure(1, 16)
-        # First two fractional bits of E are "10".
-        assert enclosure.lower >= Fraction(1, 2)
-        assert enclosure.upper < Fraction(3, 4)
+        assert digit_window(1, 2) == "10"
 
     def test_position_4_inside_three_quarters(self):
-        enclosure = fractional_part_enclosure(4, 16)
-        assert enclosure.membership(Fraction(3, 4), Fraction(1)) is True
+        assert digit_window(4, 2) == "11"
 
     def test_position_5_in_half_band(self):
-        enclosure = fractional_part_enclosure(5, 16)
-        assert enclosure.membership(Fraction(1, 2), Fraction(3, 4)) is True
-        assert enclosure.membership(Fraction(3, 4), Fraction(1)) is False
+        assert digit_window(5, 2) == "10"
 
     def test_width_respects_precision(self):
-        for precision in (8, 24, 48):
-            enclosure = fractional_part_enclosure(9, precision)
-            assert enclosure.width < Fraction(1, 1 << precision)
-            assert 0 <= enclosure.lower <= enclosure.upper <= 1
+        # A narrower certified window is a prefix of a wider one.
+        widest = digit_window(9, 48)
+        for precision in (8, 24):
+            assert digit_window(9, precision) == widest[:precision]
 
-    def test_consistent_with_window(self):
+    def test_consistent_with_window(self, clausen):
         rng = random.Random(23)
         for _ in range(20):
             n = rng.randint(1, 4000)
             precision = rng.randint(4, 20)
-            enclosure = fractional_part_enclosure(n, precision)
-            window_value = Fraction(int(digit_window(n, precision), 2),
-                                    1 << precision)
-            cell_hi = window_value + Fraction(1, 1 << precision)
-            # Both brackets contain frac(2**(n-1) E), so they intersect.
-            assert enclosure.lower < cell_hi
-            assert window_value <= enclosure.upper
+            assert clausen(n, precision) == digit_window(n, precision)
 
-    def test_seeded_enclosures_up_to_2_20_match_expansion(self, bits_past_2_20):
-        # The reference bits b_n..b_{n+P-1} put frac(2**(n-1) E) in
-        # [v, v + 2**-P]; a rigorous enclosure must meet that cell.
+    def test_seeded_enclosures_up_to_2_20_match_expansion(self, bits_past_2_20,
+                                                          clausen):
+        # The oracle itself against a full expansion.
         rng = random.Random(37)
         for n in _seeded_positions(41, 300):
             precision = rng.randint(1, 48)
-            enclosure = fractional_part_enclosure(n, precision)
-            assert enclosure.width < Fraction(1, 1 << precision)
-            cell = bits_past_2_20[n - 1 : n + 47]
-            v = Fraction(int(cell, 2), 1 << len(cell))
-            assert enclosure.lower <= v + Fraction(1, 1 << len(cell))
-            assert v <= enclosure.upper
-
-    def test_membership_tristate(self):
-        enclosure = FractionEnclosure(Fraction(7, 10), Fraction(8, 10))
-        assert enclosure.membership(Fraction(3, 4), Fraction(1)) is None
-        assert enclosure.membership(Fraction(1, 2), Fraction(9, 10)) is True
-        assert enclosure.membership(Fraction(9, 10), Fraction(1)) is False
+            if n - 1 + precision > PAST_2_20:
+                n = PAST_2_20 - precision + 1
+            assert clausen(n, precision) == bits_past_2_20[n - 1 : n - 1 + precision]
 
 
 class TestHexFormat:

@@ -5,7 +5,7 @@ from math import gcd, isqrt, prod
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebconst import divisors
@@ -23,6 +23,7 @@ from ebconst.divisors import (
     divisor_tail,
     factorize,
     is_prime,
+    pack_weighted,
     primes_in_range,
     primes_upto,
     progression_divisor_sum,
@@ -452,6 +453,13 @@ class TestDivisorCounts:
         with pytest.raises(ValueError):
             divisor_counts(5, 0)
 
+    def test_run_past_the_budget_refused_before_work(self):
+        # 10**9 counts would hold about 24 GB between the list and the pack.
+        with pytest.raises(SieveBudgetError, match="a run of 1000000000 "):
+            divisor_counts(1, 10**9)
+        with pytest.raises(SieveBudgetError):
+            divisor_tail(10**9, 10**9)
+
 
 def _sympy_runs(lo: int, count: int) -> tuple[list[int], list[int]]:
     """(d(n) for n in the run, primes <= isqrt(hi) dividing some n), by sympy."""
@@ -530,6 +538,52 @@ class TestDivisorTail:
         if root * root < start + count:
             root += 1
         assert slack == 2 * root + 2
+
+
+def _weighted(values: list[int]) -> int:
+    return sum(v << (len(values) - 1 - i) for i, v in enumerate(values))
+
+
+class TestPackWeighted:
+    @given(st.lists(st.integers(min_value=0, max_value=1500),
+                    min_size=1, max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_horner(self, values):
+        expected = 0
+        for v in values:
+            expected = (expected << 1) + v
+        assert pack_weighted(values) == expected
+
+    # Lengths uniform over 1..2000 cross divisors._FOLD_MAX, the fold/pack
+    # switch; all-0xFFFF runs carry at every byte position.
+    @given(st.integers(min_value=1, max_value=2000),
+           st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @example(512, 0, True)
+    @example(513, 0, True)
+    @settings(max_examples=60, deadline=None)
+    def test_lists_and_arrays_either_side_of_the_fold(self, m, seed, ones):
+        values = (np.full(m, 0xFFFF, np.uint16) if ones else
+                  np.random.default_rng(seed).integers(0, 1 << 16, m, np.uint16))
+        expected = _weighted(values.tolist())
+        assert pack_weighted(values.tolist()) == expected
+        assert pack_weighted(values) == expected
+
+    def test_short_uint16_array_does_not_wrap(self):
+        # NumPy 2 keeps uint16 arithmetic in uint16: folding the array's
+        # own scalars would give 65529.
+        assert pack_weighted(np.array([0xFFFF] * 3, np.uint16)) == 458745
+
+    @pytest.mark.parametrize("bad", [1 << 16, -1, 1 << 70])
+    def test_out_of_range_entries_rejected_on_the_vector_path(self, bad):
+        values = [7] * 600 + [bad] + [3] * 5
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*16\)"):
+            pack_weighted(values)
+        if abs(bad) < 1 << 63:
+            with pytest.raises(ValueError):
+                pack_weighted(np.array(values, dtype=np.int64))
+
+    def test_empty_run_is_zero(self):
+        assert pack_weighted([]) == 0
 
 
 class TestProgressionDivisorSum:
