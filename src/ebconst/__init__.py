@@ -32,11 +32,8 @@ from .digits import (
     digit_window,
     expand_naive,
     expand_sieve,
-    hex_to_bits,
 )
 from .divisors import (
-    DivisorTable,
-    FactorMap,
     SieveBudgetError,
     divisor_count,
     divisor_counts,
@@ -48,7 +45,6 @@ from .divisors import (
     primes_in_range,
     primes_upto,
     progression_divisor_sum,
-    valuation,
 )
 from .lemmas import (
     AgpReport,

@@ -43,33 +43,18 @@ class CrtSolution:
     modulus: int
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def crt_solve(system: CongruenceSystem | list[tuple[int, int]]) -> CrtSolution:
     """Unique residue modulo the product satisfying every congruence.
 
-    Pairwise merging with the extended gcd keeps intermediates below the
-    running modulus product; residues are normalized to [0, modulus).
+    Pairwise merging with the inverse of the running modulus keeps
+    intermediates below the running modulus product; residues are
+    normalized to [0, modulus).
     """
     if not isinstance(system, CongruenceSystem):
         system = CongruenceSystem(tuple(system))
     res, mod = system.congruences[0]
     for r2, m2 in system.congruences[1:]:
-        g, u, _ = _xgcd(mod, m2)
-        if g != 1:  # unreachable for a validated system; kept as a guard
-            raise NonCoprimeModuliError(mod, m2)
-        res = res + mod * ((r2 - res) * u % m2)
+        res = res + mod * ((r2 - res) * pow(mod, -1, m2) % m2)
         mod *= m2
         res %= mod
     for r, m in system.congruences:

@@ -112,7 +112,7 @@ def expand_sieve(precision: int) -> DigitExpansion:
     over n <= m, so the omitted terms add at most tail_majorant(m + 1).
     """
     def enclose(m: int) -> tuple[int, int]:
-        return pack_weighted(divisor_sieve(m).counts[1:]), tail_majorant(m + 1)
+        return pack_weighted(divisor_sieve(m)[1:]), tail_majorant(m + 1)
 
     return _expansion(precision, "sieve", enclose)
 
@@ -148,31 +148,3 @@ def bits_to_hex(bits: str) -> str:
     values = _check_bits(bits, "bits") - ord("0")
     # packbits zero-pads the last byte; drop the hex digit a pad nibble makes.
     return np.packbits(values).tobytes().hex()[: -(-len(values) // 4)]
-
-
-_HEX_DIGITS = frozenset("0123456789abcdef")
-
-
-def hex_to_bits(hexdigits: str, precision: int) -> str:
-    """Inverse of bits_to_hex given the original bit count.
-
-    Strict: hexdigits must be exactly what bits_to_hex emits for some
-    string of precision bits, that is ceil(precision / 4) lowercase hex
-    digits whose pad bits past precision are zero. Anything else (another
-    length, uppercase, a sign, a 0x prefix, whitespace, underscores)
-    raises ValueError.
-    """
-    if precision < 0:
-        raise ValueError("precision must be >= 0")
-    need = -(-precision // 4)
-    if len(hexdigits) != need:
-        raise ValueError(
-            f"{precision} bits pack into {need} hex digits, got {len(hexdigits)}")
-    if not _HEX_DIGITS.issuperset(hexdigits):
-        raise ValueError("hexdigits must contain only the characters 0-9a-f")
-    if not hexdigits:
-        return ""
-    bits = format(int(hexdigits, 16), "b").zfill(4 * need)
-    if "1" in bits[precision:]:
-        raise ValueError("pad bits past precision must be zero")
-    return bits[:precision]

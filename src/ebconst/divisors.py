@@ -19,7 +19,6 @@ lemma3's per-row tails and the whole table of expand_sieve.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
 
@@ -152,30 +151,14 @@ def primes_in_range(low: int, high: int) -> np.ndarray:
     return primes[primes.searchsorted(max(low, 2)) :]
 
 
-@dataclass(frozen=True)
-class FactorMap:
-    """Prime factorization as ((prime, exponent), ...) sorted by prime."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    @property
-    def n(self) -> int:
-        return prod(p**e for p, e in self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-
 # Primes reduced against n per vectorised step of factorize.
 _FACTOR_CHUNK = 1 << 12
 
 
 @lru_cache(maxsize=1 << 16)
-def factorize(n: int) -> FactorMap:
-    """Full prime factorization of n >= 1 by deterministic trial division.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Full prime factorization of n >= 1 by deterministic trial division,
+    as ((prime, exponent), ...) sorted by prime.
 
     The primes p <= isqrt(n) are scanned in chunks of _FACTOR_CHUNK: one
     vectorised n % p per chunk finds the prime factors in it, and their
@@ -203,7 +186,7 @@ def factorize(n: int) -> FactorMap:
             entries.append((p, e))
     if n > 1:
         entries.append((n, 1))
-    return FactorMap(tuple(entries))
+    return tuple(entries)
 
 
 def divisor_count(n: int) -> int:
@@ -402,29 +385,9 @@ def divisor_tail(start: int, count: int) -> tuple[int, int]:
             tail_majorant(start + count))
 
 
-def valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n; p must be prime."""
-    if n < 1:
-        raise ValueError("valuation requires n >= 1")
-    if not is_prime(p):
-        raise ValueError(f"valuation requires a prime modulus, got {p}")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-@dataclass(frozen=True)
-class DivisorTable:
-    """counts[n] = d(n) for 1 <= n <= limit (counts[0] is unused)."""
-
-    limit: int
-    counts: np.ndarray
-
-
-def divisor_sieve(limit: int) -> DivisorTable:
-    """Divisor-count table for 1..limit from sqrt(limit) strided adds.
+def divisor_sieve(limit: int) -> np.ndarray:
+    """Divisor-count table counts[n] = d(n) for 1 <= n <= limit (counts[0]
+    is unused), as a uint16 array, from sqrt(limit) strided adds.
 
     Uses the hyperbola form d(m) = 2*#{d | m : d < sqrt(m)} + [m is a
     square], which at x = 1/2 is Clausen's Lambert-series identity
@@ -441,10 +404,10 @@ def divisor_sieve(limit: int) -> DivisorTable:
     for d in range(1, isqrt(limit) + 1):
         counts[d * d] += 1
         counts[d * d + d :: d] += 2
-    return DivisorTable(limit, counts)
+    return counts
 
 
-_shared_table: DivisorTable | None = None
+_shared_table: np.ndarray | None = None
 _SHARED_TABLE_CAP = 4 * 10**6
 
 
@@ -453,9 +416,9 @@ def _shared_counts(limit: int) -> np.ndarray | None:
     global _shared_table
     if limit > _SHARED_TABLE_CAP:
         return None
-    if _shared_table is None or _shared_table.limit < limit:
+    if _shared_table is None or len(_shared_table) <= limit:
         _shared_table = divisor_sieve(max(limit, 1 << 16))
-    return _shared_table.counts
+    return _shared_table
 
 
 def progression_divisor_sum(a: int, step: int, count: int) -> int:

@@ -137,6 +137,8 @@ def check_lemma2(instance: Lemma2Instance) -> Lemma2Report:
 
 def generate_lemma2_instances(count: int, y_max: int, seed: int) -> list[Lemma2Instance]:
     """Seeded valid instances with Y <= y_max, covering edge shapes."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
     if y_max < 3:
         raise ValueError("y_max must be >= 3")
     rng = random.Random(seed)
@@ -200,7 +202,7 @@ def _markov_holds(exceed: int, total: Fraction, k: int) -> bool:
 
 
 def check_lemma3_decomposition(
-    source: tuple[int, int, int] | list[int] | None,
+    source: tuple[int, int, int] | None,
     k: int,
     L_analog: int,
     cutoff: int,
@@ -210,10 +212,11 @@ def check_lemma3_decomposition(
 ) -> Lemma3Report:
     """Split-sum partition, counting step, and the near/far-bound checks.
 
-    source is (r, A, M) for the progression n_m = r + m*A, or an explicit
-    list of n values; tail_values bypasses divisor sums entirely and checks
-    only the counting step. The partition S1 + S2 = sum of truncated tails
-    is asserted exactly at the shared cutoff.
+    source is (r, A, M) for the progression n_m = r + m*A; tail_values
+    bypasses divisor sums entirely and checks only the counting step. The
+    partition S1 + S2 = sum of truncated tails is asserted exactly at the
+    shared cutoff. One row of divisor counts is held at a time, with the
+    column sums and running totals.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -235,37 +238,41 @@ def check_lemma3_decomposition(
 
     if not k <= L_analog <= cutoff:
         raise ValueError("requires k <= L_analog <= cutoff")
-    if isinstance(source, tuple):
-        r, step, count = source
-        ns = [r + m * step for m in range(count)]
-    else:
-        ns = list(source or [])
-        step = None
-    if not ns:
+    if source is None or source[2] < 1:
         raise ValueError("no progression members to check")
-    if min(ns) < 1:
+    r0, step, M = source
+    if min(r0, r0 + (M - 1) * step) < 1:
         raise ValueError("progression members must be >= 1")
 
-    # Row n holds d(n + ell) for k <= ell <= cutoff. Exact scaled double
-    # sum, summed by columns; column ell contributes to S1 for ell < L.
-    rows = [divisor_counts(n + k, cutoff - k + 1) for n in ns]
+    # Row n holds d(n + ell) for k <= ell <= cutoff. Each row is packed
+    # into its exact scaled tail and added into the column sums; S1 and S2
+    # then sum the columns, column ell into S1 for ell < L, so the
+    # partition compares two summation orders.
+    # The first row turns columns into an int64 array, once divisor_counts
+    # has charged the run to the sieve budget.
+    columns = 0
+    total_scaled = 0
+    remainder_scaled = 0
+    exceed = 0
+    for m in range(M):
+        n = r0 + m * step
+        row = np.asarray(divisor_counts(n + k, cutoff - k + 1))
+        columns += row
+        scaled = pack_weighted(row)
+        total_scaled += scaled
+        exceed += _exceeds_threshold(Fraction(scaled, 1 << cutoff), k)
+        remainder_scaled += tail_majorant(n + cutoff + 1)
     s1_scaled = 0
     s2_scaled = 0
-    for ell, column in enumerate(map(sum, zip(*rows)), start=k):
+    for ell, column in enumerate(columns.tolist(), start=k):
         if ell < L_analog:
             s1_scaled += column << (cutoff - ell)
         else:
             s2_scaled += column << (cutoff - ell)
     S1 = Fraction(s1_scaled, 1 << cutoff)
     S2 = Fraction(s2_scaled, 1 << cutoff)
-
-    values = []
-    joint_remainder = Fraction(0)
-    for n, row in zip(ns, rows):
-        values.append(Fraction(pack_weighted(row), 1 << cutoff))
-        joint_remainder += Fraction(tail_majorant(n + cutoff + 1), 1 << cutoff)
-    total = sum(values, Fraction(0))
-    exceed = sum(1 for v in values if _exceeds_threshold(v, k))
+    total = Fraction(total_scaled, 1 << cutoff)
+    joint_remainder = Fraction(remainder_scaled, 1 << cutoff)
 
     report = Lemma3Report(k, threshold_sq, S1, S2, total, joint_remainder, exceed)
     report.bounds_checked["partition"] = "pass" if S1 + S2 == total else "fail"
@@ -278,13 +285,11 @@ def check_lemma3_decomposition(
 
     # The near-sum bound S1 <= 10*M*ln(Y)*2**-k applies only when the
     # hypotheses hold: Y <= 2**L, sqrt(Y) <= M*ln(Y), last term <= Y, and
-    # (for a progression) every prime divisor p of the step exceeds
-    # L_analog with some shift j_p < k aligned on p.
+    # every prime divisor p of the step exceeds L_analog with some shift
+    # j_p < k aligned on p.
     verdict = "not applicable"
-    if Y is not None and step is not None:
+    if Y is not None:
         y = Fraction(Y)
-        M = len(ns)
-        r0 = ns[0]
         hypotheses = y >= 3 and y <= (1 << L_analog)
         hypotheses = hypotheses and _leq_with_rounding(
             sqrt_bounds(y, 128)[1],
@@ -360,21 +365,13 @@ def check_agp_progression(X: int, d: int, a: int) -> AgpReport:
         for i in range(0, len(primes), _AGP_CHUNK)
     )
 
-    # satisfied is claimed only when count >= a certified upper bound of
-    # the reference quantity; denied only when count < a lower bound.
-    satisfied = False
-    bound_hi = Fraction(0)
-    for prec in _PRECISIONS:
-        ln_lo, ln_hi = ln_bounds(Fraction(X), prec)
-        bound_lo = Fraction(X) / (2 * phi * ln_hi)
-        bound_hi = Fraction(X) / (2 * phi * ln_lo)
-        if Fraction(count) >= bound_hi:
-            satisfied = True
-            break
-        if Fraction(count) < bound_lo:
-            satisfied = False
-            break
+    # count >= X / (2*phi*ln X) is X / (2*phi) <= count * ln X: satisfied
+    # is claimed only when that holds against the lower bound of ln X.
+    satisfied = _leq_with_rounding(
+        Fraction(X, 2 * phi),
+        lambda prec: tuple(count * b for b in ln_bounds(X, prec)))
+    bound_upper = Fraction(X, 2 * phi) / ln_bounds(X, 64)[0]
     note = ""
     if d > X:
         note = "modulus exceeds X; the progression has at most one term in range"
-    return AgpReport(X, d, a, count, phi, bound_hi, satisfied, note)
+    return AgpReport(X, d, a, count, phi, bound_upper, satisfied, note)

@@ -183,9 +183,11 @@ def _edited(payload: dict, **changes) -> dict:
     "q0_past_witness_range",
     "deeply_nested",
     "infinite_k",
+    "valuation_n_plus_2_cubed",
+    "valuation_n_plus_2_not_squared",
 ])
 def test_verify_hostile_certificate_exits_2(certificate, hostile):
-    k = certificate["k"]
+    k, q0 = certificate["k"], int(certificate["q0"])
     payload = {
         "top_level_list": [certificate],
         "null": None,
@@ -214,6 +216,12 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
         "deeply_nested": "[" * 200_000 + "]" * 200_000,
         # Serialized as Infinity, which int() cannot convert.
         "infinite_k": _edited(certificate, k=float("inf")),
+        # n + 2 = q0**3 * p: q0**2 still divides it, q0**3 does too.
+        "valuation_n_plus_2_cubed": _edited(
+            certificate, n=str((int(certificate["n"]) + 2) * q0 - 2)),
+        # n + 2 = q0**2 * p + 1: no longer a multiple of q0.
+        "valuation_n_plus_2_not_squared": _edited(
+            certificate, n=str(int(certificate["n"]) + 1)),
     }[hostile]
     text = payload if hostile == "deeply_nested" else json.dumps(payload)
     result = run_cli("verify", "--stdin", stdin=text)
@@ -228,6 +236,8 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
         failed = [line.split("\t")[0] for line in result.stdout.splitlines()
                   if "\tFAIL\t" in line]
         assert failed == ["tail", "stored_flags"]
+    if hostile.startswith("valuation_"):
+        assert "valuation\tFAIL\t" in result.stdout
 
 
 def _cap_memory():
@@ -258,6 +268,8 @@ def test_prime_table_past_memory_budget_exits_2(args):
     ("window", "--pos", "1", "--width", "1000000000"),
     ("lemmas", "--suite", "lemma3", "--k", "3", "--L", "16",
      "--cutoff", "1000000000", "--r", "1000003", "--A", "30", "--M", "8"),
+    # A negative instance count.
+    ("lemmas", "--suite", "lemma2", "--count", "-1"),
 ])
 def test_refusal_exits_2_with_one_error_line(args):
     start = time.perf_counter()
@@ -326,8 +338,9 @@ def test_repeated_runs_are_byte_identical(args):
 
 
 # SHA-256 of stdout for fixed invocations: digits, windows at 10**9 and
-# near 10**14, the k = 3 desk certificate and its verification. Any change
-# to emitted bytes fails here.
+# near 10**14, the k = 3 desk certificate and its verification, a lemma3
+# progression, an agp count, a zero run and a lemma2 suite. Any change to
+# emitted bytes fails here.
 GOLDEN_DIGESTS = {
     ("digits", "--n", "5000", "--format", "hex"):
         "ed6832369b7770b87149af1ace0452b0e487ac52d33aaa768a372be59f7ca404",
@@ -337,6 +350,17 @@ GOLDEN_DIGESTS = {
         "316da1f54d7112179d4ca9df4807352f190aeaf3c5637b75cbfb440e29de5b2c",
     ("witness", "--k", "3", "--window", "5:20", "--format", "json"):
         "80524f4cb0abc997a69574c7ed5af0e3be8a6b27787afc6e48701d3f54484036",
+    ("lemmas", "--suite", "lemma3", "--k", "3", "--L", "16", "--cutoff", "67",
+     "--r", "1000003", "--A", "30", "--M", "8"):
+        "4b54c06d06a76743f9a63975b59320a87fcd58eb94449d62e63b0bcbd57510ba",
+    ("agp", "--x", "1000000", "--d", "97", "--a", "5"):
+        "6737c789bd53b30dccccf4e74759fb0f052b961d6837b35b572afd6edab0c3be",
+    ("erdos-run", "--t", "2", "--group", "3", "--group", "5,7",
+     "--format", "json"):
+        "5b9a608b391763fdfca53c5977cf5be60e9a3b17b9e579b7fd87cb52b6eea970",
+    ("lemmas", "--suite", "lemma2", "--count", "20", "--y-max", "100000",
+     "--seed", "3"):
+        "d1145795fcb56db3ed85be155fb9ff80eb61393dd60baf9d2eba24e522edb0b7",
 }
 GOLDEN_VERIFY_DIGEST = (
     "b96f79708371b152c9975c7efbe3327556c0edac463b9478e275b4cf18d4902e")

@@ -15,7 +15,6 @@ from ebconst.digits import (
     digit_window,
     expand_naive,
     expand_sieve,
-    hex_to_bits,
 )
 from ebconst.divisors import divisor_counts, pack_weighted, tail_majorant
 
@@ -249,22 +248,19 @@ class TestHexFormat:
         with pytest.raises(ValueError):
             bits_to_hex(bad)
 
-    @pytest.mark.parametrize("hexdigits,precision", [
-        (" 9b", 12), ("9_b", 12), ("+9b", 12), ("9b ", 12), ("9b\n", 12),
-        ("0x9b", 16), ("9B", 8), ("9\u00e9", 8),   # not a lowercase hex digit
-        ("9b", 20), ("9b", 4), ("", 4), ("9", 0),   # wrong digit count
-        ("9", 1), ("9d", 7),                        # pad bits not zero
-        ("9b", -1),
-    ])
-    def test_non_hex_rejected(self, hexdigits, precision):
-        with pytest.raises(ValueError):
-            hex_to_bits(hexdigits, precision)
+    @staticmethod
+    def assert_encodes(hexdigits: str, bits: str) -> None:
+        # ceil(len / 4) lowercase digits whose value is the bits,
+        # zero-padded on the right to a whole nibble.
+        pad = -len(bits) % 4
+        assert len(hexdigits) == (len(bits) + pad) // 4
+        assert set(hexdigits) <= set("0123456789abcdef")
+        assert int(hexdigits, 16) == int(bits, 2) << pad
 
     def test_round_trip(self, golden52):
-        packed = bits_to_hex(golden52)
-        assert hex_to_bits(packed, 52) == golden52
+        self.assert_encodes(bits_to_hex(golden52), golden52)
 
     @given(st.text(alphabet="01", min_size=1, max_size=80))
     @settings(max_examples=100, deadline=None)
     def test_round_trip_random(self, bits):
-        assert hex_to_bits(bits_to_hex(bits), len(bits)) == bits
+        self.assert_encodes(bits_to_hex(bits), bits)

@@ -126,6 +126,18 @@ class TestLemma3:
         report = check_lemma3_decomposition((11, 7, 3), 2, 6, 20)
         assert report.bounds_checked["s1_bound"] == "not applicable"
 
+    def test_peak_memory_of_a_long_progression(self):
+        # 500 rows of 3998 divisor counts: held all at once they take
+        # 16 MiB; one row with the column sums takes well under 1 MiB.
+        tracemalloc.start()
+        try:
+            report = check_lemma3_decomposition((1000003, 30, 500), 3, 16, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.bounds_checked["partition"] == "pass"
+        assert peak < 4 * 2**20
+
 
 class TestAgp:
     def test_reference_count(self):
