@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, gcd, prod
+from math import gcd, prod
 
 from .crt import CongruenceSystem, crt_solve
 from .digits import digit_window
@@ -75,17 +75,19 @@ def tail_window(estimate: TailEstimate) -> tuple[bool, int]:
     Together with the divisibility pattern and d(n+2) = 6 this pins
     frac(2**(n-1) E) = 3/4 + (T/2 - t) inside [3/4, 1): the whole-unit part
     of T/2 is absorbed by the integer digit prefix, and the half-unit
-    window keeps the leftover below 1/4.
+    window keeps the leftover below 1/4. Decided in integers.
     """
-    t = floor(estimate.value / 2)
-    ok = estimate.upper < 2 * t + Fraction(1, 2)
-    return ok, t
+    (vn, vd), (rn, rd) = (estimate.value.as_integer_ratio(),
+                          estimate.remainder_bound.as_integer_ratio())
+    t = vn // (2 * vd)
+    return 2 * (vn * rd + rn * vd) < (4 * t + 1) * vd * rd, t
 
 
 def tail_below_half_k(estimate: TailEstimate) -> bool:
-    """Whether value + remainder <= 2**(-k/2) (compared via squares)."""
-    u = estimate.upper
-    return u * u * (1 << estimate.k) <= 1
+    """Whether value + remainder <= 2**(-k/2) (integer squares)."""
+    (vn, vd), (rn, rd) = (estimate.value.as_integer_ratio(),
+                          estimate.remainder_bound.as_integer_ratio())
+    return (vn * rd + rn * vd) ** 2 << estimate.k <= (vd * rd) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +301,8 @@ def _adaptive_cutoff(n: int, k: int) -> int:
     """cutoff = k + 64, doubled until 4*remainder_bound <= 2**(-k/2)."""
     span = ADAPTIVE_CUTOFF_SPAN
     while span < _CUTOFF_SPAN_CAP:
-        rem = Fraction(tail_majorant(n + k + span + 1), 1 << (k + span))
-        if 16 * rem * rem * (1 << k) <= 1:
+        # Squared: tail_majorant(n + cutoff + 1)**2 <= 2**(k + 2*span - 4).
+        if tail_majorant(n + k + span + 1) ** 2 <= 1 << (k + 2 * span - 4):
             break
         span *= 2
     return k + span

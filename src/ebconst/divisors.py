@@ -7,13 +7,13 @@ against a cached prime table (one read-only int64 array; primes_upto and
 primes_in_range return slices of it) that stops at the square root of the
 unfactored part, d(n) tables by a Dirichlet-hyperbola sieve that needs
 strided adds only for divisors up to sqrt(limit), d(n) over a short run of
-consecutive integers by a segmented sieve that finds the primes with a
-multiple in the run by a float64 hit test (exact below 2**53, past
-FACTOR_LIMIT), lists their powers up to FACTOR_LIMIT and keeps the exact
-ones, and exact divisor sums over arithmetic progressions. One kernel,
-pack_weighted, computes every weighted divisor sum sum_i d_i * 2**(-i)
-at a fixed scale: divisor_tail (the digit-window and witness tails),
-lemma3's per-row tails and the whole table of expand_sieve.
+consecutive integers by a segmented sieve (a float64 hit test finds the
+odd primes with a multiple in the run, and only pairs with p**2 | n take
+an exact valuation; both float steps are exact below 2**53), and exact
+divisor sums over arithmetic progressions. One kernel, pack_weighted,
+computes every weighted divisor sum sum_i d_i * 2**(-i) at a fixed scale:
+divisor_tail (the digit-window and witness tails), lemma3's per-row tails
+and the whole table of expand_sieve.
 """
 
 from __future__ import annotations
@@ -199,35 +199,14 @@ def _isqrt_ceil(x: int) -> int:
     return r if r * r == x else r + 1
 
 
-def _integer_root(n: int, e: int) -> int:
-    """The largest r with r**e <= n, built bit by bit in integers."""
-    r = 0
-    for bit in reversed(range(n.bit_length() // e + 1)):
-        if (r | 1 << bit) ** e <= n:
-            r |= 1 << bit
-    return r
-
-
-# The exact e-th roots of FACTOR_LIMIT for e = 46, 45, ..., 2, ascending;
-# 2**46 <= FACTOR_LIMIT < 2**47, so no prime has a 47th power in range.
-_POWER_ROOTS = np.array(
-    [_integer_root(FACTOR_LIMIT, e)
-     for e in range(FACTOR_LIMIT.bit_length() - 1, 1, -1)],
-    dtype=np.int64,
-)
-
-
-def _exponent_caps(primes: np.ndarray) -> np.ndarray:
-    """cap(p) = #{e >= 1 : p**e <= FACTOR_LIMIT} for each prime p <=
-    FACTOR_LIMIT: 1 plus the number of e >= 2 whose root in _POWER_ROOTS
-    is >= p."""
-    return 1 + len(_POWER_ROOTS) - _POWER_ROOTS.searchsorted(primes)
-
-
-def _ranks(lengths: np.ndarray) -> np.ndarray:
-    """0, 1, ..., n - 1 for each n in lengths, concatenated."""
-    return (np.arange(lengths.sum())
-            - (lengths.cumsum() - lengths).repeat(lengths))
+def _valuations(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p**v, v), v the exponent of the odd prime p in n, for int64 arrays
+    with p | n <= FACTOR_LIMIT. p**k fits int64 for k = 63 // bit_length(p)
+    (frexp's exponent), and k >= v, so gcd(n, p**k) = p**v exactly; p**v
+    is exact in float64 too, and log(p**v) / log(p) lies within a few ulps
+    of v <= 29. A test runs every such p**e <= FACTOR_LIMIT through this."""
+    power = np.gcd(n, p ** (63 // np.frexp(p)[1]))
+    return power, (np.log(power) / np.log(p) + 0.5).astype(np.int64)
 
 
 # Integers per segment of divisor_counts; bounds its work arrays.
@@ -268,19 +247,18 @@ def _with_multiple(primes: np.ndarray, floats: np.ndarray, start: int,
 def divisor_counts(lo: int, count: int) -> list[int]:
     """[d(lo), d(lo + 1), ..., d(lo + count - 1)] by a segmented sieve.
 
-    Each segment of consecutive integers finds the primes p <= isqrt(hi)
-    with a multiple in it by one float64 hit test per prime
+    Each segment of consecutive integers finds the odd primes p <=
+    isqrt(hi) with a multiple in it by one float64 hit test per prime
     (_with_multiple: floor(end / p) * p >= start, exact for end < 2**53,
-    which FACTOR_LIMIT < 2**47 keeps), over chunks of _PRIME_CHUNK
-    primes. Every such prime lists its powers q = p**e up to cap(p), the
-    largest e with p**e <= FACTOR_LIMIT (so q fits int64), and each power
-    its multiples in the segment. The pairs where q divides exactly
-    (n // q % p != 0) multiply d(n) by e + 1 and divide q out of n; a
-    cofactor above 1 left afterwards has no prime factor <= isqrt(hi), so
-    it is one prime and doubles d. A segment costs a fixed number of
-    array operations, whatever the exponents in it (Bays and Hudson's
-    segmented sieve of Eratosthenes, counting divisors instead of marking
-    composites).
+    which FACTOR_LIMIT < 2**47 keeps), over chunks of _PRIME_CHUNK primes,
+    and makes one (position, p) pair per multiple. A pair doubles d(n) and
+    divides p out of n, but a deep one, p**2 | n, multiplies d(n) by v + 1
+    and divides p**v out, v from _valuations. The power of 2 is the lowest
+    set bit, n & -n, so p = 2 brings no deep pairs. A cofactor above 1
+    left afterwards has no prime factor <= isqrt(hi), so it is one prime
+    and doubles d. A segment costs a fixed number of array operations,
+    whatever the exponents in it (Bays and Hudson's segmented sieve of
+    Eratosthenes, counting divisors instead of marking composites).
     """
     if lo < 1 or count < 1:
         raise ValueError("divisor_counts requires lo, count >= 1")
@@ -291,31 +269,30 @@ def divisor_counts(lo: int, count: int) -> list[int]:
             f"divisor-count ceiling of this implementation; got n = {hi}"
         )
     _check_budget(_BYTES_PER_COUNT * count, f"a run of {count} divisor counts")
-    primes = primes_upto(isqrt(hi))
-    floats = _prime_floats[: len(primes)]
+    primes = primes_upto(isqrt(hi))[1:]  # 2 is read off the lowest set bit
+    floats = _prime_floats[1 : len(primes) + 1]
     out: list[int] = []
     for start in range(lo, hi + 1, _SEGMENT):
         size = min(_SEGMENT, hi + 1 - start)
         p = _with_multiple(primes, floats, start, start + size - 1)
-        caps = _exponent_caps(p)
-        base = p.repeat(caps)
-        exponent = _ranks(caps) + 1
-        power = base**exponent
-        # One (position, power) pair per multiple of the power in the
-        # segment; first < power makes reps 0, not negative, for a power
-        # with no multiple here.
-        first = (-start) % power
-        reps = (size - 1 - first) // power + 1
-        base, exponent, power, first = (
-            base.repeat(reps), exponent.repeat(reps),
-            power.repeat(reps), first.repeat(reps))
-        where = first + _ranks(reps) * power
-        exact = (start + where) // power % base != 0
-        where, exponent, power = where[exact], exponent[exact], power[exact]
-        counts = np.ones(size, dtype=np.int64)
-        np.multiply.at(counts, where, exponent + 1)
-        cofactor = np.arange(start, start + size, dtype=np.int64)
-        np.floor_divide.at(cofactor, where, power)
+        # Pair heads[i] + j, j < reps[i], sits at first[i] + j*p[i].
+        first = (-start) % p
+        reps = (size - 1 - first) // p + 1
+        base = p.repeat(reps)
+        heads = reps.cumsum() - reps
+        where = (first - heads * p).repeat(reps) + np.arange(len(base)) * base
+        whole = np.arange(start, start + size, dtype=np.int64)
+        n = whole[where]
+        deep = n // base % base == 0
+        at = where[deep]
+        power, v = _valuations(n[deep], base[deep])
+        low = whole & -whole  # 2**v2, and frexp(2**v2) = (0.5, v2 + 1)
+        counts = np.frexp(low)[1] << (np.bincount(where, minlength=size)
+                                      - np.bincount(at, minlength=size))
+        np.multiply.at(counts, at, v + 1)
+        base[deep] = power
+        cofactor = whole // low
+        np.floor_divide.at(cofactor, where, base)
         counts <<= cofactor > 1
         out.extend(counts.tolist())
     return out

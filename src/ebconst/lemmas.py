@@ -189,9 +189,9 @@ class Lemma3Report:
         return "\t".join(parts)
 
 
-def _exceeds_threshold(value: Fraction, k: int) -> bool:
-    """value > 2**(-k/2), decided via squares to stay exact for odd k."""
-    return value > 0 and value * value * (1 << k) > 1
+def _exceeds_threshold(num: int, den: int, k: int) -> bool:
+    """num/den > 2**(-k/2), den > 0, via integer squares (exact for odd k)."""
+    return num > 0 and (num * num) << k > den * den
 
 
 def _markov_holds(exceed: int, total: Fraction, k: int) -> bool:
@@ -227,7 +227,8 @@ def check_lemma3_decomposition(
         if any(v < 0 for v in values):
             raise ValueError("tail values must be nonnegative")
         total = sum(values, Fraction(0))
-        exceed = sum(1 for v in values if _exceeds_threshold(v, k))
+        exceed = sum(1 for v in values
+                     if _exceeds_threshold(v.numerator, v.denominator, k))
         report = Lemma3Report(k, threshold_sq, None, None, total, None, exceed)
         report.bounds_checked["markov"] = (
             "pass" if _markov_holds(exceed, total, k) else "fail"
@@ -260,7 +261,7 @@ def check_lemma3_decomposition(
         columns += row
         scaled = pack_weighted(row)
         total_scaled += scaled
-        exceed += _exceeds_threshold(Fraction(scaled, 1 << cutoff), k)
+        exceed += _exceeds_threshold(scaled, 1 << cutoff, k)
         remainder_scaled += tail_majorant(n + cutoff + 1)
     s1_scaled = 0
     s2_scaled = 0

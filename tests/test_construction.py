@@ -1,14 +1,20 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import floor
 
 import pytest
 import sympy
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from ebconst import construction
 
 from ebconst.construction import (
     ConstructionError,
     ErdosRunParams,
     NoWitnessInRange,
+    TailEstimate,
     WitnessParams,
     build_witness_system,
     certificate_from_json,
@@ -23,7 +29,7 @@ from ebconst.construction import (
     verify_certificate,
 )
 from ebconst.digits import digit_window
-from ebconst.divisors import divisor_count, is_prime
+from ebconst.divisors import divisor_count, is_prime, tail_majorant
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +128,35 @@ class TestTailEstimate:
             est = tail_estimate(n, 3, 40)
             assert est.value >= Fraction(1, 2)
             assert not tail_below_half_k(est)
+
+    # The integer decisions against the Fraction forms they replace; the
+    # examples sit exactly on each boundary.
+    @given(st.fractions(min_value=0, max_value=64),
+           st.fractions(min_value=0, max_value=4), st.integers(0, 12))
+    @example(Fraction(4), Fraction(1, 2), 3)           # upper == 2t + 1/2
+    @example(Fraction(9, 2), Fraction(0), 0)
+    @example(Fraction(1, 8), Fraction(1, 8), 4)        # upper == 2**(-k/2)
+    @example(Fraction(1, 3), Fraction(1, 7), 3)
+    def test_integer_decisions_match_fractions(self, value, remainder, k):
+        est = TailEstimate(n=1, k=k, cutoff=k, value=value,
+                           remainder_bound=remainder)
+        upper = value + remainder
+        t = floor(value / 2)
+        assert tail_window(est) == (upper < 2 * t + Fraction(1, 2), t)
+        assert tail_below_half_k(est) == (upper * upper * 2**k <= 1)
+
+    @pytest.mark.parametrize("n", [1, 100, 10**6, 10**12, 10**14 - 5000])
+    def test_adaptive_cutoff_matches_fraction_rule(self, n, monkeypatch):
+        # A small first span makes the doubling run, at every k verify takes.
+        monkeypatch.setattr(construction, "ADAPTIVE_CUTOFF_SPAN", 2)
+        for k in range(13):
+            span = 2
+            while span < construction._CUTOFF_SPAN_CAP:
+                rem = Fraction(tail_majorant(n + k + span + 1), 2 ** (k + span))
+                if 16 * rem * rem * 2**k <= 1:
+                    break
+                span *= 2
+            assert construction._adaptive_cutoff(n, k) == k + span
 
     def test_remainder_dominates_true_tail_partial_sums(self):
         # Necessary condition for rigor: the remainder bound must exceed

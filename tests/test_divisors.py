@@ -12,7 +12,6 @@ from ebconst import divisors
 from ebconst.divisors import (
     _MR_PSI,
     _MR_WITNESSES,
-    _POWER_ROOTS,
     _PRIME_CHUNK,
     _SEGMENT,
     FACTOR_LIMIT,
@@ -406,23 +405,6 @@ class TestDivisorCounts:
         assert divisor_counts(lo, count) == [sympy.divisor_count(lo + i)
                                              for i in range(count)]
 
-    @staticmethod
-    def max_exponent(p: int) -> int:
-        e = 0
-        while p ** (e + 1) <= FACTOR_LIMIT:
-            e += 1
-        return e
-
-    def test_exponent_caps(self):
-        primes = primes_upto(10**5)
-        caps = divisors._exponent_caps(primes)
-        assert caps.tolist() == [self.max_exponent(p) for p in primes.tolist()]
-        # Either side of each e-th root of FACTOR_LIMIT, e = 46..2.
-        edges = np.array([r + k for r in _POWER_ROOTS.tolist() for k in (0, 1)])
-        caps = divisors._exponent_caps(edges)
-        assert caps.tolist() == [self.max_exponent(v) for v in edges.tolist()]
-        assert _POWER_ROOTS[0] == 2 and _POWER_ROOTS[-1] == isqrt(FACTOR_LIMIT)
-
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             divisor_counts(0, 4)
@@ -499,6 +481,71 @@ class TestHitTest:
         counts = divisor_counts(lo, count)
         for i in (0, _SEGMENT - 12, count - 24):
             assert counts[i : i + 24] == _sympy_runs(lo + i, 24)[0], i
+
+
+def _squarefree_run(low: int, count: int) -> int:
+    """The least lo >= low with lo, ..., lo + count - 1 squarefree."""
+    lo = low
+    while not all(max(sympy.factorint(n).values()) == 1
+                  for n in range(lo, lo + count)):
+        lo += 1
+    return lo
+
+
+class TestDeepPairs:
+    """The exact valuation of divisor_counts, taken only where p**2 | n."""
+
+    def test_valuations_of_every_prime_power_in_range(self):
+        # Every p**e <= FACTOR_LIMIT of an odd prime p <= isqrt(FACTOR_LIMIT):
+        # cap(p) = 1 + #{e >= 2 : p <= the exact e-th root of FACTOR_LIMIT}.
+        primes = primes_upto(isqrt(FACTOR_LIMIT))[1:]
+        caps = np.ones(len(primes), dtype=np.int64)
+        for e in range(2, FACTOR_LIMIT.bit_length()):
+            root = int(FACTOR_LIMIT ** (1 / e)) + 1
+            while root**e > FACTOR_LIMIT:
+                root -= 1
+            caps += primes <= root
+        p = primes.repeat(caps)
+        e = np.arange(len(p)) - (caps.cumsum() - caps).repeat(caps) + 1
+        n = p**e
+        assert len(n) == 1_334_700 - 46 and n.max() <= FACTOR_LIMIT
+        assert (n > FACTOR_LIMIT // p)[caps.cumsum() - 1].all()  # e = cap(p)
+        power, v = divisors._valuations(n, p)
+        assert (power == n).all()
+        assert (v == e).all()
+
+    def test_valuations_of_multiples(self):
+        p = np.array([3, 3, 5, 7, 9999991], dtype=np.int64)
+        n = np.array([3**5 * 2, 3**29, 5**2 * 7**3, 7**2 * 3**4,
+                      9999991**2], dtype=np.int64)
+        power, v = divisors._valuations(n, p)
+        assert power.tolist() == [3**5, 3**29, 5**2, 7**2, 9999991**2]
+        assert v.tolist() == [5, 29, 2, 2, 2]
+
+    @pytest.mark.parametrize("n", [
+        2**46,
+        3**29,
+        (2999 * 3001) ** 2,              # two deep primes
+        2**10 * 3**5 * 1000003,          # 2**a * 3**b * q, q > sqrt(n)
+        9999991**2,                      # p = isqrt(n)
+        9999973**2,
+        7**16,
+    ])
+    def test_runs_where_every_pair_is_deep(self, n):
+        factors = sympy.factorint(n)
+        assert all(e >= 2 for p, e in factors.items() if p <= isqrt(n))
+        assert divisor_counts(n, 1) == [sympy.divisor_count(n)]
+
+    @pytest.mark.parametrize("low,count", [
+        (10**6, 3),
+        (2**40, 3),
+        (FACTOR_LIMIT - 100, 3),
+        (2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37, 1),
+    ])
+    def test_runs_with_no_deep_pair(self, low, count):
+        lo = _squarefree_run(low, count)
+        assert divisor_counts(lo, count) == [sympy.divisor_count(lo + i)
+                                             for i in range(count)]
 
 
 class TestDivisorTail:

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ebconst.construction import build_witness_system, select_primes, WitnessParams
 from ebconst.divisors import divisor_count, is_prime, primes_upto
 from ebconst.lemmas import (
+    _exceeds_threshold,
     Lemma2Instance,
     check_agp_progression,
     check_lemma2,
@@ -110,6 +113,18 @@ class TestLemma3:
             report = check_lemma3_decomposition(None, k, k, k,
                                                 tail_values=values)
             assert report.bounds_checked["markov"] == "pass"
+
+    # The integer test against the Fraction form it replaces; the examples
+    # sit on the threshold (scaled**2 * 2**k == 4**cutoff) and next to it.
+    @given(st.integers(0, 2**70), st.integers(0, 80), st.integers(0, 40))
+    @example(1 << 30, 32, 4)
+    @example((1 << 30) + 1, 32, 4)
+    @example((1 << 30) - 1, 32, 4)
+    @example(0, 5, 0)
+    def test_threshold_in_integers_matches_fractions(self, scaled, cutoff, k):
+        value = Fraction(scaled, 1 << cutoff)
+        assert _exceeds_threshold(scaled, 1 << cutoff, k) == (
+            value > 0 and value * value * (1 << k) > 1)
 
     def test_s1_bound_applicable_case(self):
         # Prime-step progression engineered so every hypothesis is checkable:
