@@ -24,7 +24,7 @@ from .construction import (
     tail_window,
     verify_certificate,
 )
-from .crt import CongruenceSystem, CrtSolution, NonCoprimeModuliError, crt_solve
+from .crt import CrtSolution, NonCoprimeModuliError, crt_solve
 from .digits import (
     CertificationError,
     DigitExpansion,

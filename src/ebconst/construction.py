@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
-from .crt import CongruenceSystem, crt_solve
+from .crt import crt_solve
 from .digits import digit_window
 from .divisors import (FACTOR_LIMIT, divisor_count, divisor_tail, is_prime,
-                       primes_in_range, tail_majorant)
+                       primes_in_range)
 
 
 class ConstructionError(ValueError):
@@ -46,10 +46,6 @@ class TailEstimate:
     cutoff: int
     value: Fraction
     remainder_bound: Fraction
-
-    @property
-    def upper(self) -> Fraction:
-        return self.value + self.remainder_bound
 
 
 def tail_estimate(n: int, k: int, cutoff: int) -> TailEstimate:
@@ -94,7 +90,9 @@ def tail_below_half_k(estimate: TailEstimate) -> bool:
 # Witness pipeline
 # ---------------------------------------------------------------------------
 
-ADAPTIVE_CUTOFF_SPAN = 64
+# Tail span cutoff - k of every search: it keeps 4*remainder_bound <=
+# 2**(-k/2) for every n + k + 65 < 2**121, far past FACTOR_LIMIT >= n.
+_CUTOFF_SPAN = 64
 # Largest tail span cutoff - k that search may use and verify will compute.
 _CUTOFF_SPAN_CAP = 4096
 # Largest k verify accepts: P_{k-1}, a product of k distinct primes, divides
@@ -297,17 +295,6 @@ class NoWitnessInRange:
     prime_hits: int
 
 
-def _adaptive_cutoff(n: int, k: int) -> int:
-    """cutoff = k + 64, doubled until 4*remainder_bound <= 2**(-k/2)."""
-    span = ADAPTIVE_CUTOFF_SPAN
-    while span < _CUTOFF_SPAN_CAP:
-        # Squared: tail_majorant(n + cutoff + 1)**2 <= 2**(k + 2*span - 4).
-        if tail_majorant(n + k + span + 1) ** 2 <= 1 << (k + 2 * span - 4):
-            break
-        span *= 2
-    return k + span
-
-
 def search_witness(params: WitnessParams,
                    system: WitnessSystem) -> WitnessCertificate | NoWitnessInRange:
     """Scan m = 0..m_max-1 ascending; the first candidate passing every
@@ -335,7 +322,7 @@ def search_witness(params: WitnessParams,
         # j+1 distinct primes, exactly divides n + j and 2^(j+1) | d(n+j).
         # With the tail window below, frac(2^(n-1) E) lies in [3/4, 1)
         # (CHECK_RELATIONS["tail"]), which is the digit claim.
-        estimate = tail_estimate(n, params.k, _adaptive_cutoff(n, params.k))
+        estimate = tail_estimate(n, params.k, params.k + _CUTOFF_SPAN)
         accepted, window_index = tail_window(estimate)
         if not accepted:
             continue
@@ -660,7 +647,7 @@ def erdos_zero_run(params: ErdosRunParams) -> ErdosRunResult:
                              "the exact divisor-count ceiling")
         modulus = g**t
         congruences.append(((g ** (t - 1) - j) % modulus, modulus))
-    solution = crt_solve(CongruenceSystem(tuple(congruences)))
+    solution = crt_solve(congruences)
     x = solution.residue if solution.residue > 0 else solution.modulus
     checks = []
     for j in range(params.k):

@@ -213,8 +213,8 @@ def _valuations(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _SEGMENT = 1 << 12
 
 # What one entry of a divisor_counts run costs its caller at most: the
-# list slot, and pack_weighted's int64 copy, uint16 reversal, byte groups
-# and result.
+# int64 run, pack_weighted's uint16 reversal and byte groups (12 bytes at
+# the peak of divisor_tail), and lemma3's int64 column sums (20 in all).
 _BYTES_PER_COUNT = 24
 
 # Primes per step of the hit test, so that each step's float64 quotients
@@ -244,8 +244,9 @@ def _with_multiple(primes: np.ndarray, floats: np.ndarray, start: int,
     return hits[0] if len(hits) == 1 else np.concatenate([primes[:0], *hits])
 
 
-def divisor_counts(lo: int, count: int) -> list[int]:
-    """[d(lo), d(lo + 1), ..., d(lo + count - 1)] by a segmented sieve.
+def divisor_counts(lo: int, count: int) -> np.ndarray:
+    """d(lo), d(lo + 1), ..., d(lo + count - 1) as an int64 array, by a
+    segmented sieve.
 
     Each segment of consecutive integers finds the odd primes p <=
     isqrt(hi) with a multiple in it by one float64 hit test per prime
@@ -271,7 +272,7 @@ def divisor_counts(lo: int, count: int) -> list[int]:
     _check_budget(_BYTES_PER_COUNT * count, f"a run of {count} divisor counts")
     primes = primes_upto(isqrt(hi))[1:]  # 2 is read off the lowest set bit
     floats = _prime_floats[1 : len(primes) + 1]
-    out: list[int] = []
+    out = np.empty(count, np.int64)
     for start in range(lo, hi + 1, _SEGMENT):
         size = min(_SEGMENT, hi + 1 - start)
         p = _with_multiple(primes, floats, start, start + size - 1)
@@ -294,7 +295,7 @@ def divisor_counts(lo: int, count: int) -> list[int]:
         cofactor = whole // low
         np.floor_divide.at(cofactor, where, base)
         counts <<= cofactor > 1
-        out.extend(counts.tolist())
+        out[start - lo : start - lo + size] = counts
     return out
 
 
@@ -306,8 +307,8 @@ def tail_majorant(end: int) -> int:
 
 
 # Runs up to this length fold in Python ints; longer ones pack bytes in
-# NumPy. The pack overtakes the fold at about 768 entries for a list from
-# divisor_counts and about 384 for a uint16 table slice.
+# NumPy. The pack overtakes the fold near 512 entries, for an int64 run
+# from divisor_counts and for a uint16 table slice alike.
 _FOLD_MAX = 512
 
 
@@ -315,21 +316,19 @@ def pack_weighted(counts) -> int:
     """sum(counts[i] * 2**(len(counts) - 1 - i)), exact, for a list or
     array of integers in [0, 2**16).
 
-    A run of at most _FOLD_MAX entries is folded as Python ints (an array
-    goes through tolist first: NumPy scalars would wrap). A longer run is
-    packed in one vectorised pass: terms are grouped eight to a byte
-    position, three-byte group values are added at overlapping offsets,
-    and carries are normalized before int.from_bytes. An entry outside
-    [0, 2**16) in a longer run raises ValueError; below 2**16 a group is
-    below 2**16 * 255 < 2**24, so the work arrays fit in 32 bits, and they
-    hold one entry per eight terms.
+    A run of at most _FOLD_MAX entries is folded as Python ints (through
+    tolist: NumPy scalars would wrap). A longer run is packed in one
+    vectorised pass: terms are grouped eight to a byte position,
+    three-byte group values are added at overlapping offsets, and carries
+    are normalized before int.from_bytes. An entry outside [0, 2**16) in
+    a longer run raises ValueError; below 2**16 a group is below
+    2**16 * 255 < 2**24, so the work arrays fit in 32 bits, and they hold
+    one entry per eight terms.
     """
     m = len(counts)
     if m <= _FOLD_MAX:
-        if isinstance(counts, np.ndarray):
-            counts = counts.tolist()
         scaled = 0
-        for d in counts:
+        for d in np.asarray(counts).tolist():
             scaled = (scaled << 1) + d
         return scaled
     values = np.asarray(counts)

@@ -249,20 +249,19 @@ def check_lemma3_decomposition(
     # into its exact scaled tail and added into the column sums; S1 and S2
     # then sum the columns, column ell into S1 for ell < L, so the
     # partition compares two summation orders.
-    # The first row turns columns into an int64 array, once divisor_counts
-    # has charged the run to the sieve budget.
     columns = 0
     total_scaled = 0
     remainder_scaled = 0
     exceed = 0
     for m in range(M):
         n = r0 + m * step
-        row = np.asarray(divisor_counts(n + k, cutoff - k + 1))
+        row = divisor_counts(n + k, cutoff - k + 1)
         columns += row
         scaled = pack_weighted(row)
         total_scaled += scaled
         exceed += _exceeds_threshold(scaled, 1 << cutoff, k)
         remainder_scaled += tail_majorant(n + cutoff + 1)
+        del row  # not held while the next row is built
     s1_scaled = 0
     s2_scaled = 0
     for ell, column in enumerate(columns.tolist(), start=k):

@@ -339,7 +339,8 @@ def test_repeated_runs_are_byte_identical(args):
 
 # SHA-256 of stdout for fixed invocations: digits, windows at 10**9 and
 # near 10**14, the k = 3 desk certificate and its verification, a lemma3
-# progression, an agp count, a zero run and a lemma2 suite. Any change to
+# progression, an agp count, a zero run, a lemma2 suite, and a window and
+# a lemma3 run long enough for pack_weighted's byte pack. Any change to
 # emitted bytes fails here.
 GOLDEN_DIGESTS = {
     ("digits", "--n", "5000", "--format", "hex"):
@@ -361,6 +362,11 @@ GOLDEN_DIGESTS = {
     ("lemmas", "--suite", "lemma2", "--count", "20", "--y-max", "100000",
      "--seed", "3"):
         "d1145795fcb56db3ed85be155fb9ff80eb61393dd60baf9d2eba24e522edb0b7",
+    ("window", "--pos", "1000000000", "--width", "4096", "--format", "hex"):
+        "5ca3c8e1ea79deec27bdbec9350eb0a2b1be72eec29d098ea048f0b48b60a897",
+    ("lemmas", "--suite", "lemma3", "--k", "3", "--L", "16", "--cutoff",
+     "600", "--r", "1000003", "--A", "30", "--M", "8"):
+        "2ec1767db9a7e86ac8d7b103aa13f8f885b7e67c63309c7bec9aa679315be1fa",
 }
 GOLDEN_VERIFY_DIGEST = (
     "b96f79708371b152c9975c7efbe3327556c0edac463b9478e275b4cf18d4902e")

@@ -29,7 +29,8 @@ from ebconst.construction import (
     verify_certificate,
 )
 from ebconst.digits import digit_window
-from ebconst.divisors import divisor_count, is_prime, tail_majorant
+from ebconst.divisors import (FACTOR_LIMIT, _MR_PSI, divisor_count, is_prime,
+                              tail_majorant)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +120,7 @@ class TestTailEstimate:
         # value + remainder at a shallow cutoff dominates any deeper value.
         shallow = tail_estimate(50, 3, 12)
         deep = tail_estimate(50, 3, 80)
-        assert shallow.upper >= deep.value
+        assert shallow.value + shallow.remainder_bound >= deep.value
 
     def test_half_k_threshold_unreachable_at_k3(self):
         # sum_{l>=3} d(n+l)/2**l >= 1/2 > 2**(-3/2) for every n, so the
@@ -145,18 +146,17 @@ class TestTailEstimate:
         assert tail_window(est) == (upper < 2 * t + Fraction(1, 2), t)
         assert tail_below_half_k(est) == (upper * upper * 2**k <= 1)
 
-    @pytest.mark.parametrize("n", [1, 100, 10**6, 10**12, 10**14 - 5000])
-    def test_adaptive_cutoff_matches_fraction_rule(self, n, monkeypatch):
-        # A small first span makes the doubling run, at every k verify takes.
-        monkeypatch.setattr(construction, "ADAPTIVE_CUTOFF_SPAN", 2)
+    def test_search_span_keeps_remainder_small_past_psi13(self):
+        # search_witness takes cutoff = k + _CUTOFF_SPAN for every n: then
+        # 4*remainder_bound <= 2**(-k/2) at n = psi_13, past FACTOR_LIMIT
+        # and so past every n whose tail is computed, and tail_majorant
+        # grows with n.
+        psi13, span = _MR_PSI[-1], construction._CUTOFF_SPAN
+        assert FACTOR_LIMIT < psi13
         for k in range(13):
-            span = 2
-            while span < construction._CUTOFF_SPAN_CAP:
-                rem = Fraction(tail_majorant(n + k + span + 1), 2 ** (k + span))
-                if 16 * rem * rem * 2**k <= 1:
-                    break
-                span *= 2
-            assert construction._adaptive_cutoff(n, k) == k + span
+            rem = Fraction(tail_majorant(psi13 + k + span + 1),
+                           2 ** (k + span))
+            assert 16 * rem * rem * 2**k <= 1, k
 
     def test_remainder_dominates_true_tail_partial_sums(self):
         # Necessary condition for rigor: the remainder bound must exceed

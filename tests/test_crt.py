@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebconst.crt import (
-    CongruenceSystem,
-    NonCoprimeModuliError,
-    crt_solve,
-)
+from ebconst.crt import NonCoprimeModuliError, crt_solve
 
 
 def brute_solution(pairs, modulus_product):
@@ -43,14 +39,14 @@ def test_non_coprime_rejected_with_pair():
 
 def test_empty_system_rejected():
     with pytest.raises(ValueError):
-        CongruenceSystem(())
+        crt_solve([])
 
 
 def test_residue_range_validated():
     with pytest.raises(ValueError):
-        CongruenceSystem(((5, 5),))
+        crt_solve([(5, 5)])
     with pytest.raises(ValueError):
-        CongruenceSystem(((0, 1),))
+        crt_solve([(0, 1)])
 
 
 @given(st.permutations([(1, 3), (2, 5), (3, 7), (5, 11)]))

@@ -123,7 +123,8 @@ class TestTailMajorant:
         )
         assert partial < majorant
         exact = sum(Fraction(d, 1 << n) for n, d in
-                    enumerate(divisor_counts(m + 1, 399), start=m + 1))
+                    enumerate(divisor_counts(m + 1, 399).tolist(),
+                              start=m + 1))
         assert exact < majorant
 
 

@@ -350,13 +350,15 @@ class TestDivisorCounts:
 
     def test_from_one_across_segments(self):
         count = 2 * _SEGMENT + 5
-        assert divisor_counts(1, count) == [brute_divisor_count(n)
-                                            for n in range(1, count + 1)]
+        counts = divisor_counts(1, count)
+        assert counts.dtype == np.int64 and len(counts) == count
+        assert counts.tolist() == [brute_divisor_count(n)
+                                   for n in range(1, count + 1)]
 
     def test_many_segments_match_sieve(self):
         lo, count = 10**6 - 3 * _SEGMENT, 3 * _SEGMENT + 17
         table = divisor_sieve(lo + count - 1)
-        assert divisor_counts(lo, count) == table[lo:].tolist()
+        assert divisor_counts(lo, count).tolist() == table[lo:].tolist()
 
     @pytest.mark.parametrize("lo,count", [
         (9967**2 - 20, 41),          # p**2
@@ -367,18 +369,19 @@ class TestDivisorCounts:
         (10**13 + 37, 1),            # a single term
     ])
     def test_prime_power_and_root_intervals(self, lo, count):
-        assert divisor_counts(lo, count) == self.termwise(lo, count)
+        assert divisor_counts(lo, count).tolist() == self.termwise(lo, count)
 
     def test_seeded_intervals(self):
         rng = random.Random(4711)
         for _ in range(40):
             lo = rng.randint(1, int(2**46.5))
             count = rng.randint(1, 80)
-            assert divisor_counts(lo, count) == self.termwise(lo, count), lo
+            assert (divisor_counts(lo, count).tolist()
+                    == self.termwise(lo, count)), lo
 
     def test_interval_ending_at_factor_limit(self):
-        assert divisor_counts(FACTOR_LIMIT - 63, 64) == self.termwise(
-            FACTOR_LIMIT - 63, 64)
+        assert (divisor_counts(FACTOR_LIMIT - 63, 64).tolist()
+                == self.termwise(FACTOR_LIMIT - 63, 64))
         with pytest.raises(ValueError, match="supports n <="):
             divisor_counts(FACTOR_LIMIT - 63, 65)
 
@@ -392,8 +395,8 @@ class TestDivisorCounts:
         (3**15 - _SEGMENT, 2 * _SEGMENT + 1),   # crosses two segment edges
     ])
     def test_sympy_agreement(self, lo, count):
-        assert divisor_counts(lo, count) == [sympy.divisor_count(lo + i)
-                                             for i in range(count)]
+        assert divisor_counts(lo, count).tolist() == [
+            sympy.divisor_count(lo + i) for i in range(count)]
 
     # lo log-uniform: a bit length first, then a value of that length.
     @given(st.integers(min_value=0, max_value=46).flatmap(
@@ -402,8 +405,8 @@ class TestDivisorCounts:
            st.integers(min_value=1, max_value=200))
     @settings(max_examples=20, deadline=None)
     def test_sympy_agreement_property(self, lo, count):
-        assert divisor_counts(lo, count) == [sympy.divisor_count(lo + i)
-                                             for i in range(count)]
+        assert divisor_counts(lo, count).tolist() == [
+            sympy.divisor_count(lo + i) for i in range(count)]
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -412,7 +415,7 @@ class TestDivisorCounts:
             divisor_counts(5, 0)
 
     def test_run_past_the_budget_refused_before_work(self):
-        # 10**9 counts would hold about 24 GB between the list and the pack.
+        # 10**9 counts would hold about 12 GB between the run and the pack.
         with pytest.raises(SieveBudgetError, match="a run of 1000000000 "):
             divisor_counts(1, 10**9)
         with pytest.raises(SieveBudgetError):
@@ -470,7 +473,7 @@ class TestHitTest:
         primes = primes_upto(isqrt(hi))
         floats = divisors._prime_floats[: len(primes)]
         assert divisors._with_multiple(primes, floats, lo, hi).tolist() == hit
-        assert divisor_counts(lo, count) == counts
+        assert divisor_counts(lo, count).tolist() == counts
 
     def test_across_segment_and_chunk_edges(self):
         # Two segments, at a height where the primes fill two chunks; sympy
@@ -478,7 +481,7 @@ class TestHitTest:
         lo = _next_to(C1, C2, 2**40) - _SEGMENT + 3
         count = _SEGMENT + 12
         assert len(primes_upto(isqrt(lo + count))) > _PRIME_CHUNK
-        counts = divisor_counts(lo, count)
+        counts = divisor_counts(lo, count).tolist()
         for i in (0, _SEGMENT - 12, count - 24):
             assert counts[i : i + 24] == _sympy_runs(lo + i, 24)[0], i
 
@@ -534,7 +537,7 @@ class TestDeepPairs:
     def test_runs_where_every_pair_is_deep(self, n):
         factors = sympy.factorint(n)
         assert all(e >= 2 for p, e in factors.items() if p <= isqrt(n))
-        assert divisor_counts(n, 1) == [sympy.divisor_count(n)]
+        assert divisor_counts(n, 1).tolist() == [sympy.divisor_count(n)]
 
     @pytest.mark.parametrize("low,count", [
         (10**6, 3),
@@ -544,8 +547,8 @@ class TestDeepPairs:
     ])
     def test_runs_with_no_deep_pair(self, low, count):
         lo = _squarefree_run(low, count)
-        assert divisor_counts(lo, count) == [sympy.divisor_count(lo + i)
-                                             for i in range(count)]
+        assert divisor_counts(lo, count).tolist() == [
+            sympy.divisor_count(lo + i) for i in range(count)]
 
 
 class TestDivisorTail:
