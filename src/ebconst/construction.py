@@ -420,6 +420,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     or n + cutoff past FACTOR_LIMIT fails the tail check before any divisor
     count is computed, and nothing else is checked. The tail check also
     fails when the stored tail's n or k differs from the certificate's.
+    Groups past the k(k+1)/2 - 3 primes k assigns fail residues unrebuilt.
     """
     report = VerificationReport()
     n, k, cutoff = cert.n, cert.k, cert.tail.cutoff
@@ -432,7 +433,12 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
                    f"{FACTOR_LIMIT}; nothing was recomputed")
         return report
 
+    held = sum(map(len, cert.groups.values()))
+    cap = k * (k + 1) // 2 - 3 * (k > 2)  # j + 1 primes in group j < k, j != 2
     try:
+        if held > cap:  # a rebuild's work grows as held**2
+            raise ValueError(f"the groups hold {held} primes, past the {cap} "
+                             f"that k = {k} assigns")
         rebuilt = build_witness_system(
             cert.q0, {j: list(g) for j, g in cert.groups.items()}
         )

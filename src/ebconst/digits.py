@@ -15,6 +15,7 @@ for E) is kept separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -106,13 +107,17 @@ def expand_naive(precision: int) -> DigitExpansion:
 
 
 def expand_sieve(precision: int) -> DigitExpansion:
-    """Expansion from sum_n d(n)/2**n over a divisor-count table.
+    """Expansion from sum_n d(n)/2**n, d(n) = 2*half[n] + [n is a square].
 
-    At scale 2**m the packed table is divisor_tail(1, m), the exact sum
-    over n <= m, so the omitted terms add at most tail_majorant(m + 1).
+    At scale 2**m, 2*pack_weighted(half[1:]) + sum_{k*k<=m} 2**(m - k*k)
+    is the sum over n <= m; the rest adds at most tail_majorant(m + 1).
     """
     def enclose(m: int) -> tuple[int, int]:
-        return pack_weighted(divisor_sieve(m)[1:]), tail_majorant(m + 1)
+        squares = bytearray(m // 8 + 1)
+        for e in (m - k * k for k in range(1, isqrt(m) + 1)):
+            squares[e >> 3] |= 1 << (e & 7)
+        return (2 * pack_weighted(divisor_sieve(m)[1:])
+                + int.from_bytes(squares, "little"), tail_majorant(m + 1))
 
     return _expansion(precision, "sieve", enclose)
 

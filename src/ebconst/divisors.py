@@ -5,15 +5,15 @@ Miller-Rabin with as many of the 13 prime bases 2..41 as n needs, proven
 correct below psi_13 (about 2**81.4), factorization by trial division
 against a cached prime table (one read-only int64 array; primes_upto and
 primes_in_range return slices of it) that stops at the square root of the
-unfactored part, d(n) tables by a Dirichlet-hyperbola sieve that needs
-strided adds only for divisors up to sqrt(limit), d(n) over a short run of
+unfactored part, tables of d(n) // 2 by a Dirichlet-hyperbola sieve that
+needs strided adds only for divisors up to sqrt(limit), d(n) over a run of
 consecutive integers by a segmented sieve (a float64 hit test finds the
 odd primes with a multiple in the run, and only pairs with p**2 | n take
 an exact valuation; both float steps are exact below 2**53), and exact
 divisor sums over arithmetic progressions. One kernel, pack_weighted,
 computes every weighted divisor sum sum_i d_i * 2**(-i) at a fixed scale:
 divisor_tail (the digit-window and witness tails), lemma3's per-row tails
-and the whole table of expand_sieve.
+and expand_sieve's half-count table.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ FACTOR_LIMIT = 10**14
 
 # Ceiling for the prime table and each divisor_sieve table.
 SIEVE_MEMORY_BUDGET = 512 * 1024 * 1024
+
+# The least n with d(n) >= 512; below it d(n) <= 504, so d(n) // 2 fits a byte.
+_HALF_COUNT_BYTE_LIMIT = 17_297_280
 
 # Miller-Rabin with the first k primes as bases decides primality for every
 # n < psi_k, the least strong pseudoprime to all of them (Jaeschke 1993;
@@ -213,8 +216,8 @@ def _valuations(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _SEGMENT = 1 << 12
 
 # What one entry of a divisor_counts run costs its caller at most: the
-# int64 run, pack_weighted's uint16 reversal and byte groups (12 bytes at
-# the peak of divisor_tail), and lemma3's int64 column sums (20 in all).
+# int64 run, pack_weighted's uint16 copy, groups and planes (11.5 bytes
+# at the divisor_tail peak), and lemma3's int64 column sums (19.5 in all).
 _BYTES_PER_COUNT = 24
 
 # Primes per step of the hit test, so that each step's float64 quotients
@@ -318,12 +321,12 @@ def pack_weighted(counts) -> int:
 
     A run of at most _FOLD_MAX entries is folded as Python ints (through
     tolist: NumPy scalars would wrap). A longer run is packed in one
-    vectorised pass: terms are grouped eight to a byte position,
-    three-byte group values are added at overlapping offsets, and carries
-    are normalized before int.from_bytes. An entry outside [0, 2**16) in
-    a longer run raises ValueError; below 2**16 a group is below
-    2**16 * 255 < 2**24, so the work arrays fit in 32 bits, and they hold
-    one entry per eight terms.
+    vectorised pass: terms are grouped eight to a byte position, one
+    strided column at a time, and each byte plane of the groups is read by
+    int.from_bytes and added at its offset. Eight entries below 2**w make a
+    group below 2**(w + 8): a uint8 run takes uint16 groups (two planes),
+    any other run uint32 groups (three) and raises ValueError on an entry
+    outside [0, 2**16).
     """
     m = len(counts)
     if m <= _FOLD_MAX:
@@ -332,25 +335,18 @@ def pack_weighted(counts) -> int:
             scaled = (scaled << 1) + d
         return scaled
     values = np.asarray(counts)
-    if values.dtype != np.uint16 and (values.min() < 0
-                                      or values.max() >= 1 << 16):
+    if values.dtype not in (np.uint8, np.uint16) and (
+            values.min() < 0 or values.max() >= 1 << 16):
         raise ValueError("pack_weighted entries must lie in [0, 2**16)")
-    c = np.zeros(-(-m // 8) * 8, np.uint16)
+    c = np.zeros(-(-m // 8) * 8, np.uint16 if values.dtype != np.uint8 else np.uint8)
     c[:m] = values[::-1]  # c[i] weights 2**i
-    group = c[0::8].astype(np.uint32)
+    wide = np.dtype(f"<u{2 * c.itemsize}")
+    group = c[0::8].astype(wide)
     for i in range(1, 8):
-        group += c[i::8].astype(np.uint32) << i
-    acc = np.zeros(len(group) + 3, np.uint32)
-    acc[: len(group)] += group & 0xFF
-    acc[1 : len(group) + 1] += (group >> 8) & 0xFF
-    acc[2 : len(group) + 2] += group >> 16
-    while True:
-        carry = acc >> 8
-        if not carry.any():
-            break
-        acc &= 0xFF
-        acc[1:] += carry[:-1]
-    return int.from_bytes(acc.astype(np.uint8).tobytes(), "little")
+        group += c[i::8].astype(wide) << i
+    planes = group.view(np.uint8)
+    return sum(int.from_bytes(planes[b :: wide.itemsize].tobytes(), "little")
+               << 8 * b for b in range(c.itemsize + 1))
 
 
 def divisor_tail(start: int, count: int) -> tuple[int, int]:
@@ -362,33 +358,33 @@ def divisor_tail(start: int, count: int) -> tuple[int, int]:
 
 
 def divisor_sieve(limit: int) -> np.ndarray:
-    """Divisor-count table counts[n] = d(n) for 1 <= n <= limit (counts[0]
-    is unused), as a uint16 array, from sqrt(limit) strided adds.
+    """Half-count table half[n] = #{d | n : d < sqrt(n)} = d(n) // 2 for
+    1 <= n <= limit (half[0] is unused), from sqrt(limit) strided adds.
 
-    Uses the hyperbola form d(m) = 2*#{d | m : d < sqrt(m)} + [m is a
-    square], which at x = 1/2 is Clausen's Lambert-series identity
-    sum x**n/(1 - x**n) = sum x**(n*n) * (1 + x**n)/(1 - x**n). Each
-    d <= isqrt(limit) adds 1 at d*d and 2 at every multiple of d from
-    d*d + d on, so the table costs isqrt(limit) slice updates. Entries are
-    16-bit, wide enough for every d(n) with n within any budget-permitted
-    limit.
+    The hyperbola form d(n) = 2*half[n] + [n is a square], which at x = 1/2
+    is Clausen's Lambert-series identity sum x**n/(1 - x**n) = sum
+    x**(n*n) * (1 + x**n)/(1 - x**n), gives d(n) back. Each d <=
+    isqrt(limit) adds 1 at every multiple of d from d*d + d on, so the
+    table costs isqrt(limit) slice updates. Entries are uint8 below
+    _HALF_COUNT_BYTE_LIMIT and uint16 from there on, wide enough for every
+    n within any budget-permitted limit; the budget charges that width.
     """
     if limit < 1:
         raise ValueError("divisor_sieve requires limit >= 1")
-    _check_budget(2 * (limit + 1), f"a divisor table up to {limit}")
-    counts = np.zeros(limit + 1, dtype=np.uint16)
+    dtype = np.dtype(np.uint8 if limit < _HALF_COUNT_BYTE_LIMIT else np.uint16)
+    _check_budget(dtype.itemsize * (limit + 1), f"a divisor table up to {limit}")
+    half = np.zeros(limit + 1, dtype)
     for d in range(1, isqrt(limit) + 1):
-        counts[d * d] += 1
-        counts[d * d + d :: d] += 2
-    return counts
+        half[d * d + d :: d] += 1
+    return half
 
 
 _shared_table: np.ndarray | None = None
 _SHARED_TABLE_CAP = 4 * 10**6
 
 
-def _shared_counts(limit: int) -> np.ndarray | None:
-    """Process-wide divisor table for repeated small-range sums."""
+def _shared_half_counts(limit: int) -> np.ndarray | None:
+    """Process-wide half-count table for repeated small-range sums."""
     global _shared_table
     if limit > _SHARED_TABLE_CAP:
         return None
@@ -407,7 +403,10 @@ def progression_divisor_sum(a: int, step: int, count: int) -> int:
             f"last term {last} exceeds the supported range {FACTOR_LIMIT}"
         )
     if count >= 16:
-        counts = _shared_counts(last)
-        if counts is not None:
-            return int(counts[a : last + 1 : step].sum(dtype=np.int64))
+        half = _shared_half_counts(last)
+        if half is not None:
+            # d(n) = 2*half[n] + [n is a square]: count the k*k in the terms.
+            roots = np.arange(_isqrt_ceil(a), isqrt(last) + 1, dtype=np.int64)
+            return int(2 * half[a : last + 1 : step].sum(dtype=np.int64)
+                       + np.count_nonzero((roots * roots - a) % step == 0))
     return sum(divisor_count(a + m * step) for m in range(count))

@@ -8,6 +8,8 @@ import time
 
 import pytest
 
+from ebconst.divisors import primes_in_range
+
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 GOLDEN_52 = "1001101101010000010111111001111001000011111100100010"
 
@@ -185,6 +187,7 @@ def _edited(payload: dict, **changes) -> dict:
     "infinite_k",
     "valuation_n_plus_2_cubed",
     "valuation_n_plus_2_not_squared",
+    "groups_past_prime_cap",
 ])
 def test_verify_hostile_certificate_exits_2(certificate, hostile):
     k, q0 = certificate["k"], int(certificate["q0"])
@@ -222,6 +225,11 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
         # n + 2 = q0**2 * p + 1: no longer a multiple of q0.
         "valuation_n_plus_2_not_squared": _edited(
             certificate, n=str(int(certificate["n"]) + 1)),
+        # 16,000 genuine primes where k = 3 assigns 2 to group 1: rebuilding
+        # that system would take about a second.
+        "groups_past_prime_cap": _edited(certificate, groups=dict(
+            certificate["groups"], **{"1": [str(p) for p in primes_in_range(
+                10**6, 2 * 10**6)[:16_000].tolist()]})),
     }[hostile]
     text = payload if hostile == "deeply_nested" else json.dumps(payload)
     result = run_cli("verify", "--stdin", stdin=text)
@@ -238,6 +246,8 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
         assert failed == ["tail", "stored_flags"]
     if hostile.startswith("valuation_"):
         assert "valuation\tFAIL\t" in result.stdout
+    if hostile == "groups_past_prime_cap":
+        assert "residues\tFAIL\trebuild failed: the groups hold 16001 " in result.stdout
 
 
 def _cap_memory():
@@ -367,6 +377,8 @@ GOLDEN_DIGESTS = {
     ("lemmas", "--suite", "lemma3", "--k", "3", "--L", "16", "--cutoff",
      "600", "--r", "1000003", "--A", "30", "--M", "8"):
         "2ec1767db9a7e86ac8d7b103aa13f8f885b7e67c63309c7bec9aa679315be1fa",
+    ("digits", "--n", "1048576", "--format", "hex"):
+        "ef52d9b0c59ba83b3f6671bbafb94bf4ba861a4b4ec1b2ecc03f3cd2099faf26",
 }
 GOLDEN_VERIFY_DIGEST = (
     "b96f79708371b152c9975c7efbe3327556c0edac463b9478e275b4cf18d4902e")

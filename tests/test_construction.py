@@ -30,7 +30,7 @@ from ebconst.construction import (
 )
 from ebconst.digits import digit_window
 from ebconst.divisors import (FACTOR_LIMIT, _MR_PSI, divisor_count, is_prime,
-                              tail_majorant)
+                              primes_in_range, tail_majorant)
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +372,21 @@ class TestDerivedClaims:
         failures = {r.name for r in verify_certificate(cert).results
                     if not r.passed}
         assert failures == {"divisibility_pattern", "digits", "stored_flags"}
+
+    def test_oversized_groups_are_not_rebuilt(self, desk_certificate,
+                                              monkeypatch):
+        # 16,000 genuine primes in group 1 made the rebuild take about a
+        # second, growing as the square of the primes; k = 3 assigns 3.
+        def forbidden(*args):
+            raise AssertionError("rebuilt an oversized system")
+
+        monkeypatch.setattr(construction, "build_witness_system", forbidden)
+        big = tuple(primes_in_range(10**6, 2 * 10**6)[:16_000].tolist())
+        cert = desk_certificate
+        tampered = replace(cert, groups={**cert.groups, 1: big})
+        report = {r.name: r for r in verify_certificate(tampered).results}
+        assert not report["residues"].passed
+        assert "16001 primes, past the 3 that k = 3" in report["residues"].detail
 
     @pytest.mark.parametrize("p", [5, 77])  # p = q0, and p composite
     def test_d6_needs_a_prime_p_other_than_q0(self, desk_certificate, p):

@@ -63,6 +63,16 @@ class TestExpansions:
     def test_methods_agree_at_1024(self):
         assert expand_naive(1024).bits == expand_sieve(1024).bits
 
+    def test_methods_agree_at_every_small_precision_and_2_14(self, sieve_16384):
+        # The sieve adds the squares term 2**(m - k*k) to twice the packed
+        # half counts; every precision up to 64 moves its scale past new
+        # squares, and 2**14 takes the byte-plane pack.
+        for n in range(1, 65):
+            naive, sieve = expand_naive(n), expand_sieve(n)
+            assert (naive.integer_part, naive.bits) == (sieve.integer_part,
+                                                        sieve.bits), n
+        assert expand_naive(16384).bits == sieve_16384.bits
+
     @pytest.mark.parametrize("expand", [expand_naive, expand_sieve])
     def test_prefix_stability(self, expand, golden52):
         a = expand(20).bits
@@ -131,9 +141,9 @@ class TestTailMajorant:
 class TestPacking:
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 1000, 4097])
     def test_uint16_tables_match_big_int_sum(self, m):
-        # The slice expand_sieve packs, over the full 16-bit range, plus an
-        # all-ones table whose byte groups carry at every position; entries
-        # past m must not leak into the sum.
+        # A uint16 table slice, as divisor_sieve makes from 17297280 on, over
+        # the full 16-bit range, plus an all-ones table whose byte groups
+        # fill three planes; entries past m must not leak into the sum.
         rng = np.random.default_rng(m)
         for counts in (rng.integers(0, 1 << 16, m + 5, dtype=np.uint16),
                        np.full(m + 5, 0xFFFF, np.uint16)):

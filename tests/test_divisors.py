@@ -283,22 +283,41 @@ class TestPrimeTable:
         assert peak < 12 * 2**20
 
 
+def counts_from_half(half: np.ndarray) -> np.ndarray:
+    """d(n) = 2*half[n] + [n is a square] for every n of a divisor_sieve
+    table (entry 0 stays 0)."""
+    counts = 2 * half.astype(np.int64)
+    counts[np.arange(1, isqrt(len(half) - 1) + 1) ** 2] += 1
+    return counts
+
+
 class TestDivisorSieve:
     def test_examples(self):
-        assert divisor_sieve(1)[1:].tolist() == [1]
-        assert divisor_sieve(6)[1:].tolist() == [1, 2, 2, 3, 2, 4]
-        assert divisor_sieve(12)[12] == 6
+        assert divisor_sieve(1)[1:].tolist() == [0]
+        assert divisor_sieve(6)[1:].tolist() == [0, 1, 1, 1, 1, 2]
+        assert counts_from_half(divisor_sieve(6))[1:].tolist() == [1, 2, 2, 3, 2, 4]
+        assert divisor_sieve(12)[12] == 3
 
     def test_budget_rejection_names_sizes(self, monkeypatch):
+        # A uint8 table up to 10**6 is charged one byte per entry.
         monkeypatch.setattr(divisors, "SIEVE_MEMORY_BUDGET", 1000)
-        with pytest.raises(SieveBudgetError, match="2000002 bytes.*1000-byte"):
+        with pytest.raises(SieveBudgetError, match="1000001 bytes.*1000-byte"):
             divisor_sieve(10**6)
 
+    def test_dtype_widens_at_the_first_d_of_512(self):
+        # 17297280 is the least n with d(n) >= 512; below it every half
+        # count is at most 252, and there it is 256.
+        below = divisor_sieve(17_297_279)
+        assert below.dtype == np.uint8 and below.max() == 252
+        del below
+        at = divisor_sieve(17_297_280)
+        assert at.dtype == np.uint16 and at[-1] == 256 == divisor_count(17_297_280) // 2
+
     def test_invariants_against_independent_sieve(self):
-        # Full-range cross-check to 10**6: the additive divisor-count fill
+        # Full-range cross-check to 10**6: the additive half-count fill
         # against a multiplicative build from a smallest-prime-factor sieve.
         limit = 10**6
-        counts = divisor_sieve(limit)
+        counts = counts_from_half(divisor_sieve(limit))
         spf = np.zeros(limit + 1, dtype=np.int64)
         for p in range(2, isqrt(limit) + 1):
             if spf[p] == 0:
@@ -311,7 +330,7 @@ class TestDivisorSieve:
                 m //= p
                 e += 1
             expected[n] = expected[m] * (e + 1)
-        assert np.array_equal(counts[1:].astype(np.int64), expected[1:])
+        assert np.array_equal(counts[1:], expected[1:])
         # d(1) = 1 and d(p) = 2 for every prime p in range.
         assert counts[1] == 1
         prime_mask = np.zeros(limit + 1, dtype=bool)
@@ -319,25 +338,25 @@ class TestDivisorSieve:
         assert np.all(counts[prime_mask] == 2)
         # Pairing bound as an integer inequality: d(n)**2 <= 4n.
         n_values = np.arange(1, limit + 1, dtype=np.int64)
-        d_values = counts[1:].astype(np.int64)
+        d_values = counts[1:]
         assert np.all(d_values * d_values <= 4 * n_values)
 
     def test_random_entries_match_divisor_count(self):
         limit = 10**6
-        counts = divisor_sieve(limit)
+        half = divisor_sieve(limit)
         rng = random.Random(1234)
         for _ in range(10**4):
             n = rng.randint(1, limit)
-            assert counts[n] == divisor_count(n)
+            assert 2 * int(half[n]) + (isqrt(n) ** 2 == n) == divisor_count(n)
 
     def test_every_small_limit_matches_brute_force(self):
         # The hyperbola fill changes shape at k*k - 1, k*k and k*k + k;
         # every limit up to 400 passes those boundaries for k <= 20.
         expected = [brute_divisor_count(n) for n in range(1, 401)]
         for limit in range(1, 401):
-            counts = divisor_sieve(limit)
-            assert len(counts) == limit + 1
-            assert counts[1:].tolist() == expected[:limit]
+            half = divisor_sieve(limit)
+            assert len(half) == limit + 1
+            assert counts_from_half(half)[1:].tolist() == expected[:limit]
 
     def test_zero_limit_rejected(self):
         with pytest.raises(ValueError):
@@ -357,7 +376,7 @@ class TestDivisorCounts:
 
     def test_many_segments_match_sieve(self):
         lo, count = 10**6 - 3 * _SEGMENT, 3 * _SEGMENT + 17
-        table = divisor_sieve(lo + count - 1)
+        table = counts_from_half(divisor_sieve(lo + count - 1))
         assert divisor_counts(lo, count).tolist() == table[lo:].tolist()
 
     @pytest.mark.parametrize("lo,count", [
@@ -594,6 +613,21 @@ class TestPackWeighted:
         assert pack_weighted(values.tolist()) == expected
         assert pack_weighted(values) == expected
 
+    # A uint8 run, as divisor_sieve makes below 17297280, packs uint16
+    # groups in two byte planes; all-0xFF runs fill every group to 255 * 255.
+    @given(st.integers(min_value=513, max_value=5000),
+           st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @example(513, 0, True)
+    @example(5000, 0, True)
+    @settings(max_examples=40, deadline=None)
+    def test_uint8_runs_match_horner(self, m, seed, ones):
+        values = (np.full(m, 0xFF, np.uint8) if ones else
+                  np.random.default_rng(seed).integers(0, 1 << 8, m, np.uint8))
+        expected = 0
+        for v in values.tolist():
+            expected = (expected << 1) + v
+        assert pack_weighted(values) == expected
+
     def test_short_uint16_array_does_not_wrap(self):
         # NumPy 2 keeps uint16 arithmetic in uint16: folding the array's
         # own scalars would give 65529.
@@ -629,6 +663,18 @@ class TestProgressionDivisorSum:
             count = rng.randint(1, 60)
             expected = sum(divisor_count(a + m * step) for m in range(count))
             assert progression_divisor_sum(a, step, count) == expected
+
+    # The table route adds one for each square k*k in the progression:
+    # k*k = 1 (mod 3) for every k not divisible by 3, k*k = 4 (mod 5) for
+    # k = 2, 3 (mod 5), and every square with step 1, up to a last term of
+    # 100 = 10*10.
+    @pytest.mark.parametrize("a,step,count", [
+        (1, 3, 500), (4, 5, 400), (1, 1, 2000), (2, 1, 99), (9, 1, 16),
+    ])
+    def test_progressions_through_squares(self, a, step, count):
+        expected = sum(divisor_count(a + m * step) for m in range(count))
+        total = progression_divisor_sum(a, step, count)
+        assert type(total) is int and total == expected  # Fraction needs int
 
     def test_range_rejection(self):
         with pytest.raises(ValueError, match="supported range"):
