@@ -1,4 +1,4 @@
-"""Certified rational enclosures of sqrt and the natural log.
+"""Certified rational enclosures of sqrt and ln, and the 2**(-k/2) test.
 
 Every bound returned here is an exact Fraction bracketing the true value,
 so inequality checks built on them are rigorous: comparing an exact
@@ -21,6 +21,11 @@ def sqrt_bounds(y, prec: int = 64) -> tuple[Fraction, Fraction]:
     scale = 1 << (2 * prec)
     t = isqrt(y.numerator * scale // y.denominator)
     return Fraction(t, 1 << prec), Fraction(t + 1, 1 << prec)
+
+
+def exceeds_half_power(num: int, den: int, k: int) -> bool:
+    """num/den > 2**(-k/2) for den > 0, as num**2 * 2**k > den**2."""
+    return num > 0 and num * num << k > den * den
 
 
 def _atanh_ln(m: Fraction, prec: int) -> tuple[Fraction, Fraction]:

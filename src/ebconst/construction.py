@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
+from .bounds import exceeds_half_power
 from .crt import crt_solve
 from .digits import digit_window
 from .divisors import (FACTOR_LIMIT, divisor_count, divisor_tail, is_prime,
@@ -81,9 +82,8 @@ def tail_window(estimate: TailEstimate) -> tuple[bool, int]:
 
 def tail_below_half_k(estimate: TailEstimate) -> bool:
     """Whether value + remainder <= 2**(-k/2) (integer squares)."""
-    (vn, vd), (rn, rd) = (estimate.value.as_integer_ratio(),
-                          estimate.remainder_bound.as_integer_ratio())
-    return (vn * rd + rn * vd) ** 2 << estimate.k <= (vd * rd) ** 2
+    upper = estimate.value + estimate.remainder_bound
+    return not exceeds_half_power(*upper.as_integer_ratio(), estimate.k)
 
 
 # ---------------------------------------------------------------------------
@@ -554,39 +554,49 @@ def certificate_to_json(cert: WitnessCertificate) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _field(value, kind: type = str):
+    """A field in exactly the JSON type certificate_to_json writes (a bool is
+    no int); a decimal string, the default, is parsed to its int."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return int(value) if kind is str else value
+
+
 def certificate_from_json(text: str) -> WitnessCertificate:
     """Parse certificate_to_json output. Any malformed document (bad JSON,
-    nesting too deep to decode, a missing key, a value of the wrong type,
-    an infinite number or a zero denominator) raises ValueError."""
+    nesting too deep to decode, a missing key, a field of another JSON type
+    than certificate_to_json writes, an unparsable decimal string or a zero
+    denominator) raises ValueError."""
     try:
         data = json.loads(text)
         tail = data["tail"]
         return WitnessCertificate(
-            k=int(data["k"]),
-            q0=int(data["q0"]),
-            groups={int(j): tuple(int(p) for p in g)
+            k=_field(data["k"], int),
+            q0=_field(data["q0"]),
+            groups={int(j): tuple(map(_field, _field(g, list)))
                     for j, g in data["groups"].items()},
-            prime_products={int(j): int(v) for j, v in data["P"].items()},
-            A=int(data["A"]),
-            B=int(data["B"]),
-            r=int(data["r"]),
-            s=int(data["s"]),
-            m_max=int(data["M"]),
-            m=int(data["m"]),
-            p=int(data["p"]),
-            n=int(data["n"]),
-            prime_hits=int(data["prime_hits"]),
+            prime_products={int(j): _field(v) for j, v in data["P"].items()},
+            A=_field(data["A"]),
+            B=_field(data["B"]),
+            r=_field(data["r"]),
+            s=_field(data["s"]),
+            m_max=_field(data["M"], int),
+            m=_field(data["m"], int),
+            p=_field(data["p"]),
+            n=_field(data["n"]),
+            prime_hits=_field(data["prime_hits"], int),
             tail=TailEstimate(
-                n=int(tail["n"]),
-                k=int(tail["k"]),
-                cutoff=int(tail["cutoff"]),
-                value=Fraction(int(tail["value_num"]), int(tail["value_den"])),
-                remainder_bound=Fraction(int(tail["remainder_num"]),
-                                         int(tail["remainder_den"])),
+                n=_field(tail["n"]),
+                k=_field(tail["k"], int),
+                cutoff=_field(tail["cutoff"], int),
+                value=Fraction(_field(tail["value_num"]), _field(tail["value_den"])),
+                remainder_bound=Fraction(_field(tail["remainder_num"]),
+                                         _field(tail["remainder_den"])),
             ),
-            tail_window_index=int(data["tail_window_index"]),
-            tail_below_half_k=bool(data["tail_below_half_k"]),
-            checks={name: bool(data["checks"][name]) for name in CHECK_NAMES},
+            tail_window_index=_field(data["tail_window_index"]),
+            tail_below_half_k=_field(data["tail_below_half_k"], bool),
+            checks={name: _field(data["checks"][name], bool)
+                    for name in CHECK_NAMES},
         )
     except (ValueError, KeyError, TypeError, AttributeError,
             ArithmeticError, RecursionError) as exc:

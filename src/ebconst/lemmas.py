@@ -15,7 +15,7 @@ from math import gcd
 
 import numpy as np
 
-from .bounds import ln_bounds, sqrt_bounds
+from .bounds import exceeds_half_power, ln_bounds, sqrt_bounds
 from .divisors import (
     divisor_counts,
     factorize,
@@ -39,6 +39,17 @@ def _leq_with_rounding(lhs: Fraction, rhs_of_prec) -> bool:
     # Bounds at the top precision still straddle lhs; to stay one-sided,
     # report only what is proven.
     return False
+
+
+def _leq_ln(lhs: Fraction, c, y) -> bool:
+    """Decide lhs <= c*ln(y) for c >= 0, one ln_bounds(y, prec) a rung."""
+    return _leq_with_rounding(
+        lhs, lambda prec: tuple(c * b for b in ln_bounds(y, prec)))
+
+
+def _sqrt_below_m_ln(y, M: int) -> bool:
+    """The hypothesis sqrt(y) <= M*ln(y), certified: True only when proven."""
+    return _leq_ln(sqrt_bounds(y, 128)[1], M, y)
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +87,8 @@ class Lemma2Report:
 
     @property
     def passed(self) -> bool:
-        if not self.main_bound_holds:
-            return False
-        if self.second_bound_applicable:
-            return bool(self.second_bound_holds)
-        return True
+        return self.main_bound_holds and (not self.second_bound_applicable
+                                          or bool(self.second_bound_holds))
 
     def record(self) -> str:
         inst = self.instance
@@ -108,31 +116,16 @@ def check_lemma2(instance: Lemma2Instance) -> Lemma2Report:
     lhs = Fraction(progression_divisor_sum(instance.a, instance.A, instance.M))
     M, Y = instance.M, instance.Y
 
-    def main_rhs(prec):
-        ln_lo, ln_hi = ln_bounds(Y, prec)
-        sq_lo, sq_hi = sqrt_bounds(Y, prec)
-        return (2 * M * (1 + ln_lo / 2) + 2 * sq_lo,
-                2 * M * (1 + ln_hi / 2) + 2 * sq_hi)
+    def main_rhs(prec):  # 2M(1 + ln/2) is 2M + M*ln exactly
+        (ln_lo, ln_hi), (sq_lo, sq_hi) = ln_bounds(Y, prec), sqrt_bounds(Y, prec)
+        return 2 * M + M * ln_lo + 2 * sq_lo, 2 * M + M * ln_hi + 2 * sq_hi
 
-    main_ok = _leq_with_rounding(lhs, main_rhs)
-
-    # The hypothesis sqrt(Y) <= M*ln(Y) is itself certified: applicable only
-    # when provably true, and the bound then checked against the lower
-    # bound of 5*M*ln(Y).
-    applicable = _leq_with_rounding(
-        sqrt_bounds(Y, 128)[1],
-        lambda prec: (M * ln_bounds(Y, prec)[0], M * ln_bounds(Y, prec)[1]),
-    )
-    second_ok = None
-    second_rhs_lower = None
-    if applicable:
-        second_ok = _leq_with_rounding(
-            lhs, lambda prec: (5 * M * ln_bounds(Y, prec)[0],
-                               5 * M * ln_bounds(Y, prec)[1])
-        )
-        second_rhs_lower = 5 * M * ln_bounds(Y, 64)[0]
-    return Lemma2Report(instance, int(lhs), main_rhs(64)[0], second_rhs_lower,
-                        main_ok, applicable, second_ok)
+    applicable = _sqrt_below_m_ln(Y, M)
+    return Lemma2Report(
+        instance, int(lhs), main_rhs(64)[0],
+        5 * M * ln_bounds(Y, 64)[0] if applicable else None,
+        _leq_with_rounding(lhs, main_rhs), applicable,
+        _leq_ln(lhs, 5 * M, Y) if applicable else None)
 
 
 def generate_lemma2_instances(count: int, y_max: int, seed: int) -> list[Lemma2Instance]:
@@ -170,7 +163,6 @@ def generate_lemma2_instances(count: int, y_max: int, seed: int) -> list[Lemma2I
 @dataclass
 class Lemma3Report:
     k: int
-    threshold_sq: Fraction  # threshold = 2**(-k/2), stored as its square
     S1: Fraction | None
     S2: Fraction | None
     sumT: Fraction
@@ -189,16 +181,9 @@ class Lemma3Report:
         return "\t".join(parts)
 
 
-def _exceeds_threshold(num: int, den: int, k: int) -> bool:
-    """num/den > 2**(-k/2), den > 0, via integer squares (exact for odd k)."""
-    return num > 0 and (num * num) << k > den * den
-
-
 def _markov_holds(exceed: int, total: Fraction, k: int) -> bool:
-    """exceed * 2**(-k/2) <= total, again via squares."""
-    if exceed == 0:
-        return total >= 0
-    return total >= 0 and Fraction(exceed * exceed, 1 << k) <= total * total
+    """exceed * 2**(-k/2) <= total, via squares."""
+    return total >= 0 and exceed * exceed <= total * total * (1 << k)
 
 
 def check_lemma3_decomposition(
@@ -220,16 +205,14 @@ def check_lemma3_decomposition(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    threshold_sq = Fraction(1, 1 << k)
 
     if tail_values is not None:
         values = [Fraction(v) for v in tail_values]
         if any(v < 0 for v in values):
             raise ValueError("tail values must be nonnegative")
         total = sum(values, Fraction(0))
-        exceed = sum(1 for v in values
-                     if _exceeds_threshold(v.numerator, v.denominator, k))
-        report = Lemma3Report(k, threshold_sq, None, None, total, None, exceed)
+        exceed = sum(exceeds_half_power(*v.as_integer_ratio(), k) for v in values)
+        report = Lemma3Report(k, None, None, total, None, exceed)
         report.bounds_checked["markov"] = (
             "pass" if _markov_holds(exceed, total, k) else "fail"
         )
@@ -259,7 +242,7 @@ def check_lemma3_decomposition(
         columns += row
         scaled = pack_weighted(row)
         total_scaled += scaled
-        exceed += _exceeds_threshold(scaled, 1 << cutoff, k)
+        exceed += exceeds_half_power(scaled, 1 << cutoff, k)
         remainder_scaled += tail_majorant(n + cutoff + 1)
         del row  # not held while the next row is built
     s1_scaled = 0
@@ -274,7 +257,7 @@ def check_lemma3_decomposition(
     total = Fraction(total_scaled, 1 << cutoff)
     joint_remainder = Fraction(remainder_scaled, 1 << cutoff)
 
-    report = Lemma3Report(k, threshold_sq, S1, S2, total, joint_remainder, exceed)
+    report = Lemma3Report(k, S1, S2, total, joint_remainder, exceed)
     report.bounds_checked["partition"] = "pass" if S1 + S2 == total else "fail"
     report.bounds_checked["partition_with_remainder"] = (
         "pass" if S1 + S2 + joint_remainder >= total else "fail"
@@ -290,24 +273,11 @@ def check_lemma3_decomposition(
     verdict = "not applicable"
     if Y is not None:
         y = Fraction(Y)
-        hypotheses = y >= 3 and y <= (1 << L_analog)
-        hypotheses = hypotheses and _leq_with_rounding(
-            sqrt_bounds(y, 128)[1],
-            lambda prec: (M * ln_bounds(y, prec)[0], M * ln_bounds(y, prec)[1]),
-        )
-        hypotheses = hypotheses and r0 + (L_analog - 1) + (M - 1) * step <= y
-        if hypotheses:
-            for p, _ in factorize(step):
-                if p <= L_analog or not any((r0 + j) % p == 0 for j in range(k)):
-                    hypotheses = False
-                    break
-        if hypotheses:
-            ok = _leq_with_rounding(
-                S1 * (1 << k),
-                lambda prec: (10 * M * ln_bounds(y, prec)[0],
-                              10 * M * ln_bounds(y, prec)[1]),
-            )
-            verdict = "pass" if ok else "fail"
+        if (3 <= y <= 1 << L_analog and _sqrt_below_m_ln(y, M)
+                and r0 + (L_analog - 1) + (M - 1) * step <= y
+                and all(p > L_analog and any((r0 + j) % p == 0 for j in range(k))
+                        for p, _ in factorize(step))):
+            verdict = "pass" if _leq_ln(S1 * (1 << k), 10 * M, y) else "fail"
     report.bounds_checked["s1_bound"] = verdict
     return report
 
@@ -367,9 +337,7 @@ def check_agp_progression(X: int, d: int, a: int) -> AgpReport:
 
     # count >= X / (2*phi*ln X) is X / (2*phi) <= count * ln X: satisfied
     # is claimed only when that holds against the lower bound of ln X.
-    satisfied = _leq_with_rounding(
-        Fraction(X, 2 * phi),
-        lambda prec: tuple(count * b for b in ln_bounds(X, prec)))
+    satisfied = _leq_ln(Fraction(X, 2 * phi), count, X)
     bound_upper = Fraction(X, 2 * phi) / ln_bounds(X, 64)[0]
     note = ""
     if d > X:

@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ebconst import cli
 from ebconst.divisors import primes_in_range
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -188,6 +194,11 @@ def _edited(payload: dict, **changes) -> dict:
     "valuation_n_plus_2_cubed",
     "valuation_n_plus_2_not_squared",
     "groups_past_prime_cap",
+    "string_flags",
+    "float_k",
+    "string_k",
+    "string_group",
+    "string_below_half_k",
 ])
 def test_verify_hostile_certificate_exits_2(certificate, hostile):
     k, q0 = certificate["k"], int(certificate["q0"])
@@ -230,6 +241,15 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
         "groups_past_prime_cap": _edited(certificate, groups=dict(
             certificate["groups"], **{"1": [str(p) for p in primes_in_range(
                 10**6, 2 * 10**6)[:16_000].tolist()]})),
+        # Each field in a JSON type certificate_to_json never writes there;
+        # bool("false") and int("3") would read them as valid.
+        "string_flags": _edited(certificate, checks=dict.fromkeys(
+            certificate["checks"], "false")),
+        "float_k": _edited(certificate, k=3.7),
+        "string_k": _edited(certificate, k=str(k)),
+        "string_group": _edited(certificate, groups=dict(
+            certificate["groups"], **{"0": certificate["groups"]["0"][0]})),
+        "string_below_half_k": _edited(certificate, tail_below_half_k="no"),
     }[hostile]
     text = payload if hostile == "deeply_nested" else json.dumps(payload)
     result = run_cli("verify", "--stdin", stdin=text)
@@ -248,6 +268,54 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
         assert "valuation\tFAIL\t" in result.stdout
     if hostile == "groups_past_prime_cap":
         assert "residues\tFAIL\trebuild failed: the groups hold 16001 " in result.stdout
+    if hostile.startswith(("string_", "float_")):
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: unreadable certificate: expected ")
+
+
+# Every field of the desk certificate, one level deep, as a key path.
+_CERT_FIELDS = (
+    [(key,) for key in ("A", "B", "M", "P", "checks", "groups", "k", "m",
+                        "n", "p", "paper_refs", "prime_hits", "q0", "r", "s",
+                        "tail", "tail_below_half_k", "tail_window_index")]
+    + [("tail", key) for key in ("cutoff", "k", "n", "remainder_den",
+                                 "remainder_num", "value_den", "value_num")]
+    + [("checks", key) for key in ("d6", "digits", "divisibility_pattern",
+                                   "residues", "s_properties", "tail",
+                                   "valuation")]
+    + [(outer, key) for outer in ("groups", "P") for key in ("0", "1", "3")]
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70)
+    | st.integers(-2**70, 2**70).map(str) | st.text(max_size=12)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8,
+)
+# 16,000 genuine primes in group 1, where k = 3 assigns 2.
+_HUGE_GROUP = [str(p) for p in primes_in_range(10**6, 2 * 10**6)[:16_000].tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_CERT_FIELDS), _JSON_VALUES),
+                min_size=1, max_size=3))
+@example([(("groups", "1"), _HUGE_GROUP)])
+def test_verify_fuzzed_certificate_exits_0_or_2(certificate, edits):
+    payload = json.loads(json.dumps(certificate))
+    for (*outer, key), value in edits:
+        target = payload[outer[0]] if outer else payload
+        if isinstance(target, dict):  # an earlier edit may have replaced it
+            target[key] = value
+    text = json.dumps(payload)
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--stdin"])
+    assert time.perf_counter() - start < 5
+    assert code in (0, 2)
+    assert code == 0 or err.getvalue().startswith("error: ")
 
 
 def _cap_memory():
@@ -349,9 +417,10 @@ def test_repeated_runs_are_byte_identical(args):
 
 # SHA-256 of stdout for fixed invocations: digits, windows at 10**9 and
 # near 10**14, the k = 3 desk certificate and its verification, a lemma3
-# progression, an agp count, a zero run, a lemma2 suite, and a window and
-# a lemma3 run long enough for pack_weighted's byte pack. Any change to
-# emitted bytes fails here.
+# progression, an agp count, a zero run, a lemma2 suite, a window and
+# a lemma3 run long enough for pack_weighted's byte pack, and the lemma2
+# and lemma3 runs that reach every ln decision. Any change to emitted
+# bytes fails here.
 GOLDEN_DIGESTS = {
     ("digits", "--n", "5000", "--format", "hex"):
         "ed6832369b7770b87149af1ace0452b0e487ac52d33aaa768a372be59f7ca404",
@@ -379,6 +448,14 @@ GOLDEN_DIGESTS = {
         "2ec1767db9a7e86ac8d7b103aa13f8f885b7e67c63309c7bec9aa679315be1fa",
     ("digits", "--n", "1048576", "--format", "hex"):
         "ef52d9b0c59ba83b3f6671bbafb94bf4ba861a4b4ec1b2ecc03f3cd2099faf26",
+    # 288 instances where sqrt(Y) <= M*ln(Y) is proven and 12 where not.
+    ("lemmas", "--suite", "lemma2", "--count", "300", "--y-max", "1000000",
+     "--seed", "23"):
+        "cdd9267b7f13f8cdec9980d741d5bc4a3981bf290ca6c443977831fc0a3aaee3",
+    # Every s1_bound hypothesis holds, so S1 <= 10*M*ln(Y)*2**-k is decided.
+    ("lemmas", "--suite", "lemma3", "--k", "3", "--L", "16", "--cutoff", "40",
+     "--r", "101", "--A", "101", "--M", "40", "--Y", "65536"):
+        "1f7e3de4710219b61b501c28a4a665f0b165a8324223bae9da13046834155f87",
 }
 GOLDEN_VERIFY_DIGEST = (
     "b96f79708371b152c9975c7efbe3327556c0edac463b9478e275b4cf18d4902e")

@@ -432,6 +432,8 @@ class TestCertificateJson:
     @pytest.mark.parametrize("hostile", [
         "not_json", "deeply_nested", "top_level_list", "null", "missing_key",
         "groups_list", "checks_list", "zero_value_den", "infinite_k",
+        "string_flags", "float_k", "string_k", "string_group",
+        "string_below_half_k", "bool_k",
     ])
     def test_malformed_documents_raise_value_error(self, desk_certificate,
                                                    hostile):
@@ -450,6 +452,15 @@ class TestCertificateJson:
             "zero_value_den": json.dumps(
                 dict(good, tail=dict(tail, value_den="0"))),
             "infinite_k": json.dumps(dict(good, k=float("inf"))),
+            # Fields in a JSON type certificate_to_json never writes there.
+            "string_flags": json.dumps(
+                dict(good, checks=dict.fromkeys(good["checks"], "false"))),
+            "float_k": json.dumps(dict(good, k=3.7)),
+            "string_k": json.dumps(dict(good, k=str(good["k"]))),
+            "string_group": json.dumps(dict(good, groups=dict(
+                good["groups"], **{"0": good["groups"]["0"][0]}))),
+            "string_below_half_k": json.dumps(dict(good, tail_below_half_k="no")),
+            "bool_k": json.dumps(dict(good, k=True)),
         }[hostile]
         with pytest.raises(ValueError, match="^unreadable certificate: "):
             certificate_from_json(text)

@@ -6,10 +6,12 @@ import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ebconst.bounds import exceeds_half_power
 from ebconst.construction import build_witness_system, select_primes, WitnessParams
 from ebconst.divisors import divisor_count, is_prime, primes_upto
 from ebconst.lemmas import (
-    _exceeds_threshold,
+    _leq_ln,
+    _leq_with_rounding,
     Lemma2Instance,
     check_agp_progression,
     check_lemma2,
@@ -54,6 +56,50 @@ class TestLemma2:
         line = check_lemma2(Lemma2Instance(1, 2, 5, Fraction(9))).record()
         assert "\n" not in line
         assert "lhs=10" in line and "verdict=pass" in line
+
+
+class TestDecisionLadder:
+    @staticmethod
+    def _ladder(*brackets):
+        """rhs_of_prec returning the given (lo, hi) rung by rung, and the
+        precisions it was asked for."""
+        asked = []
+
+        def rhs_of_prec(prec):
+            asked.append(prec)
+            return tuple(map(Fraction, brackets[len(asked) - 1]))
+        return asked, rhs_of_prec
+
+    def test_equal_to_the_lower_bound_is_proven(self):
+        asked, rhs = self._ladder((1, 2))
+        assert _leq_with_rounding(Fraction(1), rhs) is True
+        assert asked == [64]
+
+    def test_above_the_upper_bound_is_refuted(self):
+        asked, rhs = self._ladder((1, 2))
+        assert _leq_with_rounding(Fraction(3), rhs) is False
+        assert asked == [64]
+
+    def test_equal_to_the_upper_bound_takes_the_next_rung(self):
+        asked, rhs = self._ladder((1, 2), (2, 2))
+        assert _leq_with_rounding(Fraction(2), rhs) is True
+        assert asked == [64, 128]
+
+    def test_a_straddle_at_every_rung_fails_closed(self):
+        asked, rhs = self._ladder(*[(1, 3)] * 4)
+        assert _leq_with_rounding(Fraction(2), rhs) is False
+        assert asked == [64, 128, 256, 512]
+
+    @pytest.mark.parametrize("lhs,c,y,expected", [
+        (Fraction(0), 5, 1, True),                  # ln 1 = 0 exactly
+        (Fraction(109861, 100000), 1, 3, True),     # ln 3 = 1.0986122...
+        (Fraction(109862, 100000), 1, 3, False),
+        (Fraction(549306, 100000), 5, 3, True),     # 5 ln 3 = 5.4930614...
+        (Fraction(549307, 100000), 5, 3, False),
+        (Fraction(7, 1), 0, 10**6, False),
+    ])
+    def test_leq_ln(self, lhs, c, y, expected):
+        assert _leq_ln(lhs, c, y) is expected
 
 
 class TestLemma3:
@@ -123,19 +169,24 @@ class TestLemma3:
     @example(0, 5, 0)
     def test_threshold_in_integers_matches_fractions(self, scaled, cutoff, k):
         value = Fraction(scaled, 1 << cutoff)
-        assert _exceeds_threshold(scaled, 1 << cutoff, k) == (
+        assert exceeds_half_power(scaled, 1 << cutoff, k) == (
             value > 0 and value * value * (1 << k) > 1)
 
     def test_s1_bound_applicable_case(self):
-        # Prime-step progression engineered so every hypothesis is checkable:
-        # step 101 > L_analog = 8, r + j = 0 (mod 101) for j = 0.
+        # Prime-step progression engineered so every hypothesis holds:
+        # Y = 2**16 = 2**L_analog, sqrt(Y) = 256 <= 40*ln(Y), the last term
+        # 101 + 15 + 39*101 <= Y, step 101 > 16 and r + 0 = 0 (mod 101).
         r, step, count = 101, 101, 40
-        y = Fraction(r + 7 + (count - 1) * step + 1000)
         report = check_lemma3_decomposition(
-            (r, step, count), k=3, L_analog=8, cutoff=40, Y=y
+            (r, step, count), k=3, L_analog=16, cutoff=40, Y=Fraction(65536)
         )
-        assert report.bounds_checked["s1_bound"] in ("pass", "not applicable")
+        assert report.bounds_checked["s1_bound"] == "pass"
         assert report.bounds_checked["partition"] == "pass"
+        # One more than 2**L_analog and the bound no longer applies.
+        report = check_lemma3_decomposition(
+            (r, step, count), k=3, L_analog=16, cutoff=40, Y=Fraction(65537)
+        )
+        assert report.bounds_checked["s1_bound"] == "not applicable"
 
     def test_s1_bound_not_applicable_without_y(self):
         report = check_lemma3_decomposition((11, 7, 3), 2, 6, 20)
