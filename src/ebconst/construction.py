@@ -165,6 +165,12 @@ def select_primes(params: WitnessParams) -> tuple[int, dict[int, list[int]]]:
     return q0, groups
 
 
+def _erdos_congruences(slots) -> list[tuple[int, int]]:
+    """Erdos's congruence x + j = G**(t-1) (mod G**t) for each slot
+    (j, G, t): each prime of a squarefree G divides x + j exactly t-1 times."""
+    return [((G ** (t - 1) - j) % G**t, G**t) for j, G, t in slots]
+
+
 @dataclass(frozen=True)
 class WitnessSystem:
     """Moduli, residue and progression data shared by every candidate m."""
@@ -190,20 +196,13 @@ def build_witness_system(q0: int, groups: dict[int, list[int]]) -> WitnessSystem
     if 2 in groups:
         raise ConstructionError("group index j = 2 is reserved and must be absent")
 
-    products = {j: 1 for j in groups}
-    for j, members in groups.items():
-        for p in members:
-            products[j] *= p
-    A = q0**3
-    for j in sorted(products):
-        A *= products[j] ** 2
+    products = {j: prod(members) for j, members in groups.items()}
+    A = q0**3 * prod(pj**2 for pj in products.values())
     B = A // q0**2
 
-    congruences = [(q0**2 - 2, q0**3)]
-    for j in sorted(products):
-        pj = products[j]
-        congruences.append(((pj - j) % pj**2, pj**2))
-    solution = crt_solve(congruences)
+    # n + 2 = q0^2 (mod q0^3) and n + j = P_j (mod P_j^2)
+    solution = crt_solve(_erdos_congruences(
+        [(2, q0, 3)] + [(j, products[j], 2) for j in sorted(products)]))
     r = solution.residue
 
     if solution.modulus != A:
@@ -254,24 +253,17 @@ CHECK_RELATIONS = {
 CHECK_NAMES = tuple(CHECK_RELATIONS)
 
 
-@dataclass
-class WitnessCertificate:
-    """Everything constructed for one accepted m, plus verification flags.
+@dataclass(frozen=True)
+class WitnessCertificate(WitnessSystem):
+    """The system plus the accepted candidate m and its verification flags.
 
     tail_below_half_k records the stricter comparison
-    value + remainder <= 2**(-k/2); it is informational and is not one of
-    the acceptance checks, because the minimum possible tail 2**(2-k)
+    value + remainder <= 2**(-k/2). verify recomputes it, but it is not an
+    acceptance condition, because the minimum possible tail 2**(2-k)
     already exceeds that threshold whenever k < 4.
     """
 
     k: int
-    q0: int
-    groups: dict[int, tuple[int, ...]]
-    prime_products: dict[int, int]
-    A: int
-    B: int
-    r: int
-    s: int
     m_max: int
     m: int
     p: int
@@ -327,14 +319,8 @@ def search_witness(params: WitnessParams,
         if not accepted:
             continue
         return WitnessCertificate(
+            **vars(system),
             k=params.k,
-            q0=q0,
-            groups=dict(system.groups),
-            prime_products=dict(system.prime_products),
-            A=A,
-            B=B,
-            r=r,
-            s=s,
             m_max=params.m_max,
             m=m,
             p=p,
@@ -419,7 +405,8 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     A certificate with k > 12, a tail span cutoff - k outside [0, 4096],
     or n + cutoff past FACTOR_LIMIT fails the tail check before any divisor
     count is computed, and nothing else is checked. The tail check also
-    fails when the stored tail's n or k differs from the certificate's.
+    fails when the stored tail's n or k differs from the certificate's, or
+    the stored tail_below_half_k from the recomputed one.
     Groups past the k(k+1)/2 - 3 primes k assigns fail residues unrebuilt.
     """
     report = VerificationReport()
@@ -495,6 +482,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
         and fresh.remainder_bound == cert.tail.remainder_bound
         and window_ok
         and window_index == cert.tail_window_index
+        and cert.tail_below_half_k == tail_below_half_k(fresh)
     )
     report.add("tail", tail_ok, CHECK_RELATIONS["tail"])
 
@@ -522,32 +510,40 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
 # Certificate serialization (flat JSON, big integers as decimal strings)
 # ---------------------------------------------------------------------------
 
+# (JSON key, attribute, JSON type) of each scalar field; str means the
+# int is written as a decimal string.
+_FIELDS = (
+    ("k", "k", int), ("q0", "q0", str), ("A", "A", str), ("B", "B", str),
+    ("r", "r", str), ("s", "s", str), ("M", "m_max", int), ("m", "m", int),
+    ("p", "p", str), ("n", "n", str), ("prime_hits", "prime_hits", int),
+    ("tail_window_index", "tail_window_index", str),
+    ("tail_below_half_k", "tail_below_half_k", bool),
+)
+_TAIL_FIELDS = (("n", "n", str), ("k", "k", int), ("cutoff", "cutoff", int))
+
+
+def _write_fields(obj, fields) -> dict:
+    return {key: str(getattr(obj, attr)) if kind is str else getattr(obj, attr)
+            for key, attr, kind in fields}
+
+
+def _read_fields(data: dict, fields) -> dict:
+    return {attr: _field(data[key], kind) for key, attr, kind in fields}
+
+
 def certificate_to_json(cert: WitnessCertificate) -> str:
+    tail = cert.tail
     payload = {
-        "k": cert.k,
-        "q0": str(cert.q0),
+        **_write_fields(cert, _FIELDS),
         "groups": {str(j): [str(p) for p in g] for j, g in sorted(cert.groups.items())},
         "P": {str(j): str(v) for j, v in sorted(cert.prime_products.items())},
-        "A": str(cert.A),
-        "B": str(cert.B),
-        "r": str(cert.r),
-        "s": str(cert.s),
-        "M": cert.m_max,
-        "m": cert.m,
-        "p": str(cert.p),
-        "n": str(cert.n),
-        "prime_hits": cert.prime_hits,
         "tail": {
-            "n": str(cert.tail.n),
-            "k": cert.tail.k,
-            "cutoff": cert.tail.cutoff,
-            "value_num": str(cert.tail.value.numerator),
-            "value_den": str(cert.tail.value.denominator),
-            "remainder_num": str(cert.tail.remainder_bound.numerator),
-            "remainder_den": str(cert.tail.remainder_bound.denominator),
+            **_write_fields(tail, _TAIL_FIELDS),
+            "value_num": str(tail.value.numerator),
+            "value_den": str(tail.value.denominator),
+            "remainder_num": str(tail.remainder_bound.numerator),
+            "remainder_den": str(tail.remainder_bound.denominator),
         },
-        "tail_window_index": str(cert.tail_window_index),
-        "tail_below_half_k": cert.tail_below_half_k,
         "checks": {name: bool(cert.checks[name]) for name in CHECK_NAMES},
         "paper_refs": [f"{name}: {CHECK_RELATIONS[name]}" for name in CHECK_NAMES],
     }
@@ -571,30 +567,16 @@ def certificate_from_json(text: str) -> WitnessCertificate:
         data = json.loads(text)
         tail = data["tail"]
         return WitnessCertificate(
-            k=_field(data["k"], int),
-            q0=_field(data["q0"]),
+            **_read_fields(data, _FIELDS),
             groups={int(j): tuple(map(_field, _field(g, list)))
                     for j, g in data["groups"].items()},
             prime_products={int(j): _field(v) for j, v in data["P"].items()},
-            A=_field(data["A"]),
-            B=_field(data["B"]),
-            r=_field(data["r"]),
-            s=_field(data["s"]),
-            m_max=_field(data["M"], int),
-            m=_field(data["m"], int),
-            p=_field(data["p"]),
-            n=_field(data["n"]),
-            prime_hits=_field(data["prime_hits"], int),
             tail=TailEstimate(
-                n=_field(tail["n"]),
-                k=_field(tail["k"], int),
-                cutoff=_field(tail["cutoff"], int),
+                **_read_fields(tail, _TAIL_FIELDS),
                 value=Fraction(_field(tail["value_num"]), _field(tail["value_den"])),
                 remainder_bound=Fraction(_field(tail["remainder_num"]),
                                          _field(tail["remainder_den"])),
             ),
-            tail_window_index=_field(data["tail_window_index"]),
-            tail_below_half_k=_field(data["tail_below_half_k"], bool),
             checks={name: _field(data["checks"][name], bool)
                     for name in CHECK_NAMES},
         )
@@ -655,15 +637,12 @@ def erdos_zero_run(params: ErdosRunParams) -> ErdosRunResult:
     test raises G_j to at most 47, as 2**47 > FACTOR_LIMIT.
     """
     t = params.t
-    congruences = []
-    for j, group in enumerate(params.prime_groups):
-        g = prod(group)
+    slots = [(j, prod(group), t) for j, group in enumerate(params.prime_groups)]
+    for j, g, _ in slots:
         if g ** min(t - 1, FACTOR_LIMIT.bit_length()) > FACTOR_LIMIT:
             raise ValueError(f"x + {j} >= {g}**{t - 1} passes {FACTOR_LIMIT}, "
                              "the exact divisor-count ceiling")
-        modulus = g**t
-        congruences.append(((g ** (t - 1) - j) % modulus, modulus))
-    solution = crt_solve(congruences)
+    solution = crt_solve(_erdos_congruences(slots))
     x = solution.residue if solution.residue > 0 else solution.modulus
     checks = []
     for j in range(params.k):

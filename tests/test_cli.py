@@ -199,6 +199,7 @@ def _edited(payload: dict, **changes) -> dict:
     "string_k",
     "string_group",
     "string_below_half_k",
+    "tail_below_half_k_flipped",
 ])
 def test_verify_hostile_certificate_exits_2(certificate, hostile):
     k, q0 = certificate["k"], int(certificate["q0"])
@@ -250,6 +251,10 @@ def test_verify_hostile_certificate_exits_2(certificate, hostile):
         "string_group": _edited(certificate, groups=dict(
             certificate["groups"], **{"0": certificate["groups"]["0"][0]})),
         "string_below_half_k": _edited(certificate, tail_below_half_k="no"),
+        # A false claim about the certificate's own tail.
+        "tail_below_half_k_flipped": _edited(
+            certificate,
+            tail_below_half_k=not certificate["tail_below_half_k"]),
     }[hostile]
     text = payload if hostile == "deeply_nested" else json.dumps(payload)
     result = run_cli("verify", "--stdin", stdin=text)

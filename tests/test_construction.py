@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import floor
 
@@ -15,6 +15,7 @@ from ebconst.construction import (
     ErdosRunParams,
     NoWitnessInRange,
     TailEstimate,
+    WitnessCertificate,
     WitnessParams,
     build_witness_system,
     certificate_from_json,
@@ -28,6 +29,7 @@ from ebconst.construction import (
     tail_window,
     verify_certificate,
 )
+from ebconst.crt import crt_solve
 from ebconst.digits import digit_window
 from ebconst.divisors import (FACTOR_LIMIT, _MR_PSI, divisor_count, is_prime,
                               primes_in_range, tail_majorant)
@@ -222,20 +224,34 @@ class TestSearchWitness:
 
 class TestTamperDetection:
     def test_corrupted_field_fails_named_check(self, desk_certificate):
+        cert = desk_certificate
+        assert cert.q0 == 5 and cert.groups == {0: (7,), 1: (11, 13)}
         cases = [
-            ("A", desk_certificate.A + 25, "residues"),
-            ("r", desk_certificate.r + 1, "residues"),
-            ("prime_products", {0: 7, 1: 143 * 17}, "residues"),
-            ("s", desk_certificate.s + desk_certificate.q0, "s_properties"),
-            ("p", desk_certificate.p + 2, "d6"),
-            ("n", desk_certificate.n + desk_certificate.A, "d6"),
+            ({"A": cert.A + 25}, "residues"),
+            ({"r": cert.r + 1}, "residues"),
+            ({"prime_products": {0: 7, 1: 143 * 17}}, "residues"),
+            ({"s": cert.s + cert.q0}, "s_properties"),
+            ({"p": cert.p + 2}, "d6"),
+            ({"n": cert.n + cert.A}, "d6"),
+            # Each case below breaks one relation of one check; the residues
+            # rebuild may fail it too, which would hide the check's own verdict.
+            # 143^2 | n + 1: P_1 = 143 divides n + 1, but not exactly.
+            ({"n": crt_solve([(7, 49), (-1 % 143**2, 143**2)]).residue},
+             "divisibility_pattern"),
+            # 1 * 143 = P_1, and n + 1 = 143 (mod 143^2) still holds.
+            ({"groups": {0: (7,), 1: (1, 143)}}, "divisibility_pattern"),
+            # P_1 = 11 * 11 and n + 1 = 121 (mod 121^2).
+            ({"n": crt_solve([(7, 49), (120, 121**2)]).residue,
+              "groups": {0: (7,), 1: (11, 11)}, "prime_products": {0: 7, 1: 121}},
+             "divisibility_pattern"),
+            # r + 2 = 25 * 21 and 21 = 1 (mod 5), but 7 divides s and B.
+            ({"s": 21, "r": 523}, "s_properties"),
         ]
-        for field_name, bad_value, failing_check in cases:
-            tampered = replace(desk_certificate, **{field_name: bad_value})
-            report = verify_certificate(tampered)
-            assert not report.ok, field_name
+        for changes, failing_check in cases:
+            report = verify_certificate(replace(cert, **changes))
+            assert not report.ok, changes
             failures = {r.name for r in report.results if not r.passed}
-            assert failing_check in failures, (field_name, failures)
+            assert failing_check in failures, (changes, failures)
 
     def test_flipped_flag_detected(self, desk_certificate):
         for name in desk_certificate.checks:
@@ -409,6 +425,41 @@ class TestDerivedClaims:
 
 
 class TestCertificateJson:
+    def test_table_covers_every_field(self):
+        def attrs(table):
+            return [attr for _, attr, _ in table]
+
+        assert sorted(f.name for f in fields(WitnessCertificate)) == sorted(
+            attrs(construction._FIELDS)
+            + ["groups", "prime_products", "tail", "checks"])
+        assert sorted(f.name for f in fields(TailEstimate)) == sorted(
+            attrs(construction._TAIL_FIELDS) + ["value", "remainder_bound"])
+
+    def test_every_scalar_in_another_json_type_is_refused(self,
+                                                          desk_certificate):
+        import json
+
+        text = certificate_to_json(desk_certificate)
+        good = json.loads(text)
+        paths = ([(key,) for key, v in good.items()
+                  if not isinstance(v, (dict, list))]
+                 + [(outer, key) for outer in ("tail", "checks", "P")
+                    for key in good[outer]]
+                 + [("groups", j, i) for j, g in good["groups"].items()
+                    for i in range(len(g))])
+        assert len(paths) == 32
+        for *outer, key in paths:
+            doc = parent = json.loads(text)
+            for step in outer:
+                parent = parent[step]
+            value = parent[key]
+            for other in (str(int(value)), int(value), bool(int(value))):
+                if type(other) is not type(value):
+                    parent[key] = other
+                    with pytest.raises(
+                            ValueError, match="^unreadable certificate: expected "):
+                        certificate_from_json(json.dumps(doc))
+
     def test_round_trip_is_bit_exact(self, desk_certificate):
         text = certificate_to_json(desk_certificate)
         recovered = certificate_from_json(text)

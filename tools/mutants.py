@@ -76,6 +76,25 @@ MUTANTS = (
            "2 * (vn * rd + rn * vd) <= (4 * t + 1) * vd * rd"),
     Mutant("json_bool_as_int", "src/ebconst/construction.py",
            "if type(value) is not kind:", "if not isinstance(value, kind):"),
+    Mutant("json_m_max_as_string", "src/ebconst/construction.py",
+           '("M", "m_max", int)', '("M", "m_max", str)'),
+    Mutant("tail_flag_unchecked", "src/ebconst/construction.py",
+           "and cert.tail_below_half_k == tail_below_half_k(fresh)",
+           "and True"),
+    Mutant("pattern_divides_inexactly", "src/ebconst/construction.py",
+           "(cert.n + j) % (pj * pj) == pj", "(cert.n + j) % pj == 0"),
+    Mutant("pattern_without_group_primality", "src/ebconst/construction.py",
+           "and all(is_prime(q) for q in group)", "and True"),
+    Mutant("pattern_without_distinctness", "src/ebconst/construction.py",
+           "len(set(group)) == len(group) == j + 1", "len(group) == j + 1"),
+    Mutant("s_without_gcd", "src/ebconst/construction.py",
+           "and gcd(cert.s, cert.B) == 1", "and True"),
+    Mutant("d6_without_size_bound", "src/ebconst/construction.py",
+           "and n + 2 >= 2 * q0 * q0", "and True",
+           equivalent="the same conjunction requires n + 2 = q0^2 * p with "
+                      "p prime, so p >= 2 gives n + 2 >= 2 * q0^2"),
+    Mutant("erdos_congruence_plus_j", "src/ebconst/construction.py",
+           "(G ** (t - 1) - j)", "(G ** (t - 1) + j)"),
     Mutant("certify_straddle_short", "src/ebconst/digits.py",
            "lower >> guard == (lower + slack) >> guard",
            "lower >> guard == (lower + slack - 1) >> guard"),
@@ -85,6 +104,10 @@ MUTANTS = (
            "[x >= float(start)]", "[x > float(start)]"),
     Mutant("deep_test_off_by_one", "src/ebconst/divisors.py",
            "deep = n // base % base == 0", "deep = n // base % base == 1"),
+    Mutant("pack_drops_top_byte_plane", "src/ebconst/divisors.py",
+           "range(c.itemsize + 1)", "range(c.itemsize)"),
+    Mutant("valuation_log_truncated", "src/ebconst/divisors.py",
+           "np.log(p) + 0.5)", "np.log(p) + 0.0)"),
     Mutant("cofactor_above_2", "src/ebconst/divisors.py",
            "counts <<= cofactor > 1", "counts <<= cofactor > 2",
            equivalent="n & -n is divided out before, so every cofactor is "
