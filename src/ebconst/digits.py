@@ -139,7 +139,8 @@ def digit_window(pos: int, width: int) -> str:
 def _check_bits(s: str, name: str) -> np.ndarray:
     """The characters of s as ASCII codes, after checking they are bits."""
     raw = np.frombuffer(s.encode("ascii", "replace"), np.uint8)
-    if (raw - ord("0") > 1).any():
+    # Two reductions make no temporary array; min() raises on an empty one.
+    if raw.size and (raw.min() < ord("0") or raw.max() > ord("1")):
         raise ValueError(f"{name} must contain only '0'/'1' characters")
     return raw
 

@@ -6,12 +6,14 @@ correct below psi_13 (about 2**81.4), factorization by trial division
 against a cached prime table (one read-only int64 array; primes_upto and
 primes_in_range return slices of it) that stops at the square root of the
 unfactored part, tables of d(n) // 2 by a Dirichlet-hyperbola sieve that
-needs strided adds only for divisors up to sqrt(limit), d(n) over a run of
-consecutive integers by a segmented sieve (a float64 hit test finds the
-odd primes with a multiple in the run, and only pairs with p**2 | n take
-an exact valuation; both float steps are exact below 2**53), and exact
-divisor sums over arithmetic progressions. One kernel, pack_weighted,
-computes every weighted divisor sum sum_i d_i * 2**(-i) at a fixed scale:
+needs strided adds only over the odd entries, one for each odd divisor up
+to sqrt(limit), and fills each even 2**a * m (m odd) from
+d(2**a * m) = (a + 1) * d(m), d(n) over a run of consecutive integers by a
+segmented sieve (a float64 hit test finds the odd primes with a multiple
+in the run, and only pairs with p**2 | n take an exact valuation; both
+float steps are exact below 2**53), and exact divisor sums over arithmetic
+progressions. One kernel, pack_weighted, computes every weighted divisor
+sum sum_i d_i * 2**(-i) at a fixed scale:
 divisor_tail (the digit-window and witness tails), lemma3's per-row tails
 and expand_sieve's half-count table.
 """
@@ -359,23 +361,37 @@ def divisor_tail(start: int, count: int) -> tuple[int, int]:
 
 def divisor_sieve(limit: int) -> np.ndarray:
     """Half-count table half[n] = #{d | n : d < sqrt(n)} = d(n) // 2 for
-    1 <= n <= limit (half[0] is unused), from sqrt(limit) strided adds.
+    1 <= n <= limit (half[0] is unused), from strided adds over the odd
+    entries only.
 
     The hyperbola form d(n) = 2*half[n] + [n is a square], which at x = 1/2
     is Clausen's Lambert-series identity sum x**n/(1 - x**n) = sum
-    x**(n*n) * (1 + x**n)/(1 - x**n), gives d(n) back. Each d <=
-    isqrt(limit) adds 1 at every multiple of d from d*d + d on, so the
-    table costs isqrt(limit) slice updates. Entries are uint8 below
-    _HALF_COUNT_BYTE_LIMIT and uint16 from there on, wide enough for every
-    n within any budget-permitted limit; the budget charges that width.
+    x**(n*n) * (1 + x**n)/(1 - x**n), gives d(n) back. An odd n has only
+    odd divisors, so each odd d <= isqrt(limit) adds 1 at the odd multiples
+    d*e with e > d odd: a stride-d slice of the odd entries. Every even
+    n = 2**a * m with m odd then follows from d(2**a * m) = (a + 1) * d(m):
+    half[n] = (a + 1)*half[m], plus (a + 1) // 2 where m is a square,
+    written one column of equal a at a time into the table itself. Entries
+    are uint8 below _HALF_COUNT_BYTE_LIMIT and uint16 from there on, wide
+    enough for every n within any budget-permitted limit; the budget
+    charges that width.
     """
     if limit < 1:
         raise ValueError("divisor_sieve requires limit >= 1")
     dtype = np.dtype(np.uint8 if limit < _HALF_COUNT_BYTE_LIMIT else np.uint16)
     _check_budget(dtype.itemsize * (limit + 1), f"a divisor table up to {limit}")
     half = np.zeros(limit + 1, dtype)
-    for d in range(1, isqrt(limit) + 1):
-        half[d * d + d :: d] += 1
+    odd = half[1::2]  # odd[i] is half[2*i + 1]
+    for d in range(1, isqrt(limit) + 1, 2):
+        odd[(d * d + 2 * d - 1) // 2 :: d] += 1  # from d*(d + 2) on
+    a = 1
+    while 1 << a <= limit:
+        column = half[1 << a :: 2 << a]  # column[i] is half[2**a * (2*i + 1)]
+        np.multiply(odd[: len(column)], a + 1, out=column)
+        # The odd squares m = r*r <= 2*len(column) - 1 sit at column[r*r // 2].
+        roots = np.arange(1, isqrt(2 * len(column) - 1) + 1, 2, dtype=np.int64)
+        column[roots * roots // 2] += (a + 1) // 2
+        a += 1
     return half
 
 

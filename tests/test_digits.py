@@ -11,6 +11,7 @@ from ebconst.digits import (
     NAIVE_PRECISION_LIMIT,
     CertificationError,
     _certify,
+    _check_bits,
     bits_to_hex,
     digit_window,
     expand_naive,
@@ -258,6 +259,16 @@ class TestHexFormat:
     def test_non_bits_rejected(self, bad):
         with pytest.raises(ValueError):
             bits_to_hex(bad)
+
+    @pytest.mark.parametrize("bad", ["/", "2", "\x00", "\x7f", "1\u00b9",
+                                     "\uff11", "0\u0660"])
+    def test_check_bits_edges(self, bad):
+        # The codes just outside '0'..'1', the ends of ASCII, and digits one
+        # and zero outside ASCII (superscript, fullwidth, Arabic-Indic).
+        assert _check_bits("", "bits").size == 0
+        assert _check_bits("01", "bits").tolist() == [48, 49]
+        with pytest.raises(ValueError, match="bits must contain only '0'/'1'"):
+            _check_bits(bad, "bits")
 
     @staticmethod
     def assert_encodes(hexdigits: str, bits: str) -> None:

@@ -291,6 +291,16 @@ def counts_from_half(half: np.ndarray) -> np.ndarray:
     return counts
 
 
+def strided_half_counts(limit: int) -> np.ndarray:
+    """The half-count table by one strided add per d <= isqrt(limit) over
+    every entry, in divisor_sieve's dtype: the reference for its odd-part
+    fill."""
+    half = np.zeros(limit + 1, np.uint8 if limit < 17_297_280 else np.uint16)
+    for d in range(1, isqrt(limit) + 1):
+        half[d * d + d :: d] += 1
+    return half
+
+
 class TestDivisorSieve:
     def test_examples(self):
         assert divisor_sieve(1)[1:].tolist() == [0]
@@ -361,6 +371,50 @@ class TestDivisorSieve:
     def test_zero_limit_rejected(self):
         with pytest.raises(ValueError):
             divisor_sieve(0)
+
+    def test_matches_the_strided_fill_where_the_columns_end(self):
+        # The even column of 2**a ends at limit 2**a - 1, 2**a and 2**a + 1.
+        for k in range(1, 22):
+            for limit in (2**k - 1, 2**k, 2**k + 1):
+                half = divisor_sieve(limit)
+                expected = strided_half_counts(limit)
+                assert half.dtype == expected.dtype, limit
+                assert np.array_equal(half, expected), limit
+
+    def test_even_squares_with_both_parities_of_a(self):
+        # n = 2**a * 9 is a square for even a only; the fix-up adds
+        # (a + 1) // 2 to (a + 1) * half[9] either way.
+        evens = (18, 36, 72, 144, 2**20 * 9)
+        half = divisor_sieve(evens[-1])
+        for n in (9, *evens):
+            assert int(half[n]) == divisor_count(n) // 2, n
+        assert [int(half[n]) for n in evens[:4]] == [3, 4, 6, 7]
+
+    def test_uint16_table_slices_match_divisor_counts(self):
+        # Seeded slices around 2**24 and at the top of a two-byte table.
+        limit = 17_297_280 + 2**20
+        half = divisor_sieve(limit)
+        assert half.dtype == np.uint16
+        rng = random.Random(25)
+        starts = [2**24 - 2048, limit - 4095, 17_297_280 - 2048]
+        starts += [rng.randint(2**24 - 2**18, 2**24 + 2**18) for _ in range(4)]
+        starts += [rng.randint(limit - 2**18, limit - 4095) for _ in range(4)]
+        for lo in starts:
+            counts = 2 * half[lo : lo + 4096].astype(np.int64)
+            roots = np.arange(isqrt(lo - 1) + 1, isqrt(lo + 4095) + 1)
+            counts[roots * roots - lo] += 1
+            assert np.array_equal(counts, divisor_counts(lo, 4096)), lo
+
+    def test_fills_in_place(self):
+        # The even columns are written into the table itself: a second
+        # table, or a copy of the odd entries, would pass the bound.
+        tracemalloc.start()
+        try:
+            half = divisor_sieve(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * half.nbytes
 
 
 class TestDivisorCounts:

@@ -108,6 +108,19 @@ MUTANTS = (
            "range(c.itemsize + 1)", "range(c.itemsize)"),
     Mutant("valuation_log_truncated", "src/ebconst/divisors.py",
            "np.log(p) + 0.5)", "np.log(p) + 0.0)"),
+    Mutant("odd_sieve_start_past_d_times_d_plus_2", "src/ebconst/divisors.py",
+           "(d * d + 2 * d - 1) // 2 :: d]", "(d * d + 2 * d + 1) // 2 :: d]"),
+    Mutant("odd_sieve_without_d_1", "src/ebconst/divisors.py",
+           "range(1, isqrt(limit) + 1, 2)", "range(3, isqrt(limit) + 1, 2)"),
+    Mutant("even_column_factor_a", "src/ebconst/divisors.py",
+           "np.multiply(odd[: len(column)], a + 1, out=column)",
+           "np.multiply(odd[: len(column)], a, out=column)"),
+    Mutant("even_square_a_over_2_at_odd_a", "src/ebconst/divisors.py",
+           "column[roots * roots // 2] += (a + 1) // 2",
+           "column[roots * roots // 2] += a // 2"),
+    Mutant("even_square_a_plus_2_over_2_at_even_a", "src/ebconst/divisors.py",
+           "column[roots * roots // 2] += (a + 1) // 2",
+           "column[roots * roots // 2] += (a + 2) // 2"),
     Mutant("cofactor_above_2", "src/ebconst/divisors.py",
            "counts <<= cofactor > 1", "counts <<= cofactor > 2",
            equivalent="n & -n is divided out before, so every cofactor is "
