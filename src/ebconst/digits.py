@@ -80,7 +80,13 @@ def _expansion(precision: int, method: str, enclose) -> DigitExpansion:
         raise ValueError("precision must be >= 1")
     lower, _, guard = _certify(enclose, precision, _ceil_log2(precision) + 8)
     value = lower >> guard
-    return DigitExpansion(precision, value >> precision, _bits(value, precision),
+    # The fraction, padded on the right to whole bytes, one code per bit.
+    pad = -precision % 8
+    fraction = (value & ((1 << precision) - 1)) << pad
+    codes = np.unpackbits(np.frombuffer(
+        fraction.to_bytes((precision + pad) // 8, "big"), np.uint8))[:precision]
+    codes += ord("0")
+    return DigitExpansion(precision, value >> precision, str(codes.data, "ascii"),
                           guard, method, True)
 
 
@@ -113,9 +119,10 @@ def expand_sieve(precision: int) -> DigitExpansion:
     is the sum over n <= m; the rest adds at most tail_majorant(m + 1).
     """
     def enclose(m: int) -> tuple[int, int]:
-        squares = bytearray(m // 8 + 1)
-        for e in (m - k * k for k in range(1, isqrt(m) + 1)):
-            squares[e >> 3] |= 1 << (e & 7)
+        e = m - np.arange(1, isqrt(m) + 1, dtype=np.int64) ** 2
+        squares = np.zeros(m // 8 + 1, np.uint8)
+        # .at, not |= by fancy index: at small m two squares share a byte.
+        np.bitwise_or.at(squares, e >> 3, np.left_shift(1, e & 7).astype(np.uint8))
         return (2 * pack_weighted(divisor_sieve(m)[1:])
                 + int.from_bytes(squares, "little"), tail_majorant(m + 1))
 

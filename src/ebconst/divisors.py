@@ -218,8 +218,9 @@ def _valuations(n: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _SEGMENT = 1 << 12
 
 # What one entry of a divisor_counts run costs its caller at most: the
-# int64 run, pack_weighted's uint16 copy, groups and planes (11.5 bytes
-# at the divisor_tail peak), and lemma3's int64 column sums (19.5 in all).
+# int64 run (8 bytes), pack_weighted's uint16 cast (2), its uint32 groups
+# (0.5) and one column's cast and shift temporaries (1), so 11.5 bytes at
+# the divisor_tail peak, and lemma3's int64 column sums (19.5 in all).
 _BYTES_PER_COUNT = 24
 
 # Primes per step of the hit test, so that each step's float64 quotients
@@ -322,33 +323,37 @@ def pack_weighted(counts) -> int:
     array of integers in [0, 2**16).
 
     A run of at most _FOLD_MAX entries is folded as Python ints (through
-    tolist: NumPy scalars would wrap). A longer run is packed in one
-    vectorised pass: terms are grouped eight to a byte position, one
-    strided column at a time, and each byte plane of the groups is read by
-    int.from_bytes and added at its offset. Eight entries below 2**w make a
-    group below 2**(w + 8): a uint8 run takes uint16 groups (two planes),
-    any other run uint32 groups (three) and raises ValueError on an entry
-    outside [0, 2**16).
+    tolist: NumPy scalars would wrap). A longer run of m entries folds its
+    first m % 8 entries the same way and reads the rest, body, forward in
+    G = m // 8 groups: group g = sum_r body[8g + r] * 2**(7 - r) weighs
+    2**(8 * (G - 1 - g)), so byte plane b of the groups is one big-endian
+    int.from_bytes, added at 2**(8b). Eight entries below 2**w make a group
+    below 2**(w + 8): a uint8 run takes uint16 groups (two planes) and a
+    uint16 run uint32 groups (three); any other run is range-checked over
+    every entry, raising ValueError on one outside [0, 2**16), and cast to
+    uint16 first.
     """
-    m = len(counts)
-    if m <= _FOLD_MAX:
-        scaled = 0
-        for d in np.asarray(counts).tolist():
-            scaled = (scaled << 1) + d
-        return scaled
     values = np.asarray(counts)
-    if values.dtype not in (np.uint8, np.uint16) and (
-            values.min() < 0 or values.max() >= 1 << 16):
-        raise ValueError("pack_weighted entries must lie in [0, 2**16)")
-    c = np.zeros(-(-m // 8) * 8, np.uint16 if values.dtype != np.uint8 else np.uint8)
-    c[:m] = values[::-1]  # c[i] weights 2**i
-    wide = np.dtype(f"<u{2 * c.itemsize}")
-    group = c[0::8].astype(wide)
-    for i in range(1, 8):
-        group += c[i::8].astype(wide) << i
+    m = len(values)
+    q = m if m <= _FOLD_MAX else m % 8
+    if q < m and values.dtype not in (np.uint8, np.uint16):
+        if values.min() < 0 or values.max() >= 1 << 16:
+            raise ValueError("pack_weighted entries must lie in [0, 2**16)")
+        values = values.astype(np.uint16)
+    scaled = 0
+    for d in values[:q].tolist():
+        scaled = (scaled << 1) + d
+    if q == m:
+        return scaled
+    body = values[q:]
+    wide = np.dtype(f"<u{2 * values.itemsize}")
+    group = body[0::8].astype(wide) << 7
+    for r in range(1, 8):
+        group += body[r::8].astype(wide) << (7 - r)
     planes = group.view(np.uint8)
-    return sum(int.from_bytes(planes[b :: wide.itemsize].tobytes(), "little")
-               << 8 * b for b in range(c.itemsize + 1))
+    return (scaled << m - q) + sum(
+        int.from_bytes(planes[b :: wide.itemsize].tobytes(), "big") << 8 * b
+        for b in range(values.itemsize + 1))
 
 
 def divisor_tail(start: int, count: int) -> tuple[int, int]:

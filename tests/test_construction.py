@@ -414,6 +414,16 @@ class TestDerivedClaims:
                     if not r.passed}
         assert {"d6", "digits"} <= failures
 
+    @pytest.mark.parametrize("p,holds", [(5, False), (35, False), (77, True)])
+    def test_valuation_is_exactly_two(self, desk_certificate, p, holds):
+        # n + 2 = 25 * p with m = 0, as above: q0 = 5 divides n + 2 exactly
+        # twice unless 5 | p, so p = 5 and p = 35 make q0**3 divide n + 2.
+        n = 25 * p - 2
+        tampered = replace(desk_certificate, s=p, m=0, p=p, r=n, n=n)
+        verdicts = {r.name: r.passed
+                    for r in verify_certificate(tampered).results}
+        assert verdicts["valuation"] is holds
+
     def test_digits_need_the_tail_window(self, desk_certificate):
         # cutoff = k leaves the remainder bound too wide for any window;
         # the digits at n are still "11", but the derivation fails.

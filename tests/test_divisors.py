@@ -699,6 +699,33 @@ class TestPackWeighted:
     def test_empty_run_is_zero(self):
         assert pack_weighted([]) == 0
 
+    # Past the fold, the first m % 8 entries fold in Python ints and the rest
+    # are grouped forward: 513..520 and 1024..1031 give every head length.
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_every_head_length_past_the_fold(self, dtype):
+        top = 1 << 8 if dtype == np.uint8 else 1 << 16
+        rng = np.random.default_rng(26)
+        for m in [*range(513, 521), *range(1024, 1032)]:
+            for values in (rng.integers(0, top, m).astype(dtype),
+                           np.full(m, top - 1, dtype)):
+                assert pack_weighted(values) == _weighted(values.tolist()), m
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_strided_and_offset_views(self, dtype):
+        top = 1 << 8 if dtype == np.uint8 else 1 << 16
+        table = np.random.default_rng(2600).integers(0, top, 2083).astype(dtype)
+        for view in (table[1:], table[::2], table[1::2], table[5:1900:3]):
+            assert pack_weighted(view) == _weighted(view.tolist())
+
+    @pytest.mark.parametrize("bad", [1 << 16, -1])
+    def test_out_of_range_entry_in_the_folded_head_rejected(self, bad):
+        # 517 entries: the first 517 % 8 = 5 fold before the groups.
+        for at in range(517 % 8):
+            values = np.full(517, 3, np.int64)
+            values[at] = bad
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*16\)"):
+                pack_weighted(values)
+
 
 class TestProgressionDivisorSum:
     @pytest.mark.parametrize("a,A,M,expected", [

@@ -78,6 +78,11 @@ MUTANTS = (
            "if type(value) is not kind:", "if not isinstance(value, kind):"),
     Mutant("json_m_max_as_string", "src/ebconst/construction.py",
            '("M", "m_max", int)', '("M", "m_max", str)'),
+    Mutant("valuation_without_cube_test", "src/ebconst/construction.py",
+           "(n + 2) % q0**2 == 0 != (n + 2) % q0**3", "(n + 2) % q0**2 == 0"),
+    Mutant("residues_without_r", "src/ebconst/construction.py",
+           "(rebuilt.A, rebuilt.B, rebuilt.r) == (cert.A, cert.B, cert.r)",
+           "(rebuilt.A, rebuilt.B) == (cert.A, cert.B)"),
     Mutant("tail_flag_unchecked", "src/ebconst/construction.py",
            "and cert.tail_below_half_k == tail_below_half_k(fresh)",
            "and True"),
@@ -98,6 +103,11 @@ MUTANTS = (
     Mutant("certify_straddle_short", "src/ebconst/digits.py",
            "lower >> guard == (lower + slack) >> guard",
            "lower >> guard == (lower + slack - 1) >> guard"),
+    Mutant("emission_pad_sign", "src/ebconst/digits.py",
+           "pad = -precision % 8", "pad = precision % 8"),
+    Mutant("squares_fancy_index_or", "src/ebconst/digits.py",
+           "np.bitwise_or.at(squares, e >> 3, np.left_shift(1, e & 7).astype(np.uint8))",
+           "squares[e >> 3] |= np.left_shift(1, e & 7).astype(np.uint8)"),
     Mutant("tail_majorant_without_2", "src/ebconst/divisors.py",
            "return 2 * _isqrt_ceil(end) + 2", "return 2 * _isqrt_ceil(end)"),
     Mutant("hit_test_strict", "src/ebconst/divisors.py",
@@ -105,7 +115,11 @@ MUTANTS = (
     Mutant("deep_test_off_by_one", "src/ebconst/divisors.py",
            "deep = n // base % base == 0", "deep = n // base % base == 1"),
     Mutant("pack_drops_top_byte_plane", "src/ebconst/divisors.py",
-           "range(c.itemsize + 1)", "range(c.itemsize)"),
+           "range(values.itemsize + 1)", "range(values.itemsize)"),
+    Mutant("pack_head_mod_4", "src/ebconst/divisors.py",
+           "else m % 8", "else m % 4"),
+    Mutant("pack_group_0_shift_6", "src/ebconst/divisors.py",
+           "body[0::8].astype(wide) << 7", "body[0::8].astype(wide) << 6"),
     Mutant("valuation_log_truncated", "src/ebconst/divisors.py",
            "np.log(p) + 0.5)", "np.log(p) + 0.0)"),
     Mutant("odd_sieve_start_past_d_times_d_plus_2", "src/ebconst/divisors.py",
