@@ -71,7 +71,14 @@ def _certify(enclose, keep: int, guard: int) -> tuple[int, int, int]:
 
 
 def _bits(value: int, width: int) -> str:
-    return format(value & ((1 << width) - 1), "b").zfill(width)
+    """The low width bits of value as '0'/'1', most significant first."""
+    # Padded on the right to whole bytes, then one ASCII code per bit.
+    pad = -width % 8
+    low = (value & ((1 << width) - 1)) << pad
+    codes = np.unpackbits(np.frombuffer(
+        low.to_bytes((width + pad) // 8, "big"), np.uint8))[:width]
+    codes += ord("0")
+    return str(codes.data, "ascii")
 
 
 def _expansion(precision: int, method: str, enclose) -> DigitExpansion:
@@ -80,13 +87,7 @@ def _expansion(precision: int, method: str, enclose) -> DigitExpansion:
         raise ValueError("precision must be >= 1")
     lower, _, guard = _certify(enclose, precision, _ceil_log2(precision) + 8)
     value = lower >> guard
-    # The fraction, padded on the right to whole bytes, one code per bit.
-    pad = -precision % 8
-    fraction = (value & ((1 << precision) - 1)) << pad
-    codes = np.unpackbits(np.frombuffer(
-        fraction.to_bytes((precision + pad) // 8, "big"), np.uint8))[:precision]
-    codes += ord("0")
-    return DigitExpansion(precision, value >> precision, str(codes.data, "ascii"),
+    return DigitExpansion(precision, value >> precision, _bits(value, precision),
                           guard, method, True)
 
 
@@ -121,7 +122,9 @@ def expand_sieve(precision: int) -> DigitExpansion:
     def enclose(m: int) -> tuple[int, int]:
         e = m - np.arange(1, isqrt(m) + 1, dtype=np.int64) ** 2
         squares = np.zeros(m // 8 + 1, np.uint8)
-        # .at, not |= by fancy index: at small m two squares share a byte.
+        # .at, not |= by fancy index: the bits of the largest squares
+        # (m - 1, m - 4, m - 9) lie fewer than 8 apart and share bytes at
+        # every m.
         np.bitwise_or.at(squares, e >> 3, np.left_shift(1, e & 7).astype(np.uint8))
         return (2 * pack_weighted(divisor_sieve(m)[1:])
                 + int.from_bytes(squares, "little"), tail_majorant(m + 1))

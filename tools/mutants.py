@@ -104,7 +104,7 @@ MUTANTS = (
            "lower >> guard == (lower + slack) >> guard",
            "lower >> guard == (lower + slack - 1) >> guard"),
     Mutant("emission_pad_sign", "src/ebconst/digits.py",
-           "pad = -precision % 8", "pad = precision % 8"),
+           "pad = -width % 8", "pad = width % 8"),
     Mutant("squares_fancy_index_or", "src/ebconst/digits.py",
            "np.bitwise_or.at(squares, e >> 3, np.left_shift(1, e & 7).astype(np.uint8))",
            "squares[e >> 3] |= np.left_shift(1, e & 7).astype(np.uint8)"),
