@@ -21,8 +21,8 @@ from math import gcd, prod
 from .bounds import exceeds_half_power
 from .crt import crt_solve
 from .digits import digit_window
-from .divisors import (FACTOR_LIMIT, divisor_count, divisor_tail, is_prime,
-                       primes_in_range)
+from .divisors import (FACTOR_LIMIT, check_divisor_ceiling, divisor_count,
+                       divisor_tail, is_prime, primes_in_range)
 
 
 class ConstructionError(ValueError):
@@ -405,8 +405,8 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     A certificate with k > 12, a tail span cutoff - k outside [0, 4096],
     or n + cutoff past FACTOR_LIMIT fails the tail check before any divisor
     count is computed, and nothing else is checked. The tail check also
-    fails when the stored tail's n or k differs from the certificate's, or
-    the stored tail_below_half_k from the recomputed one.
+    fails unless the stored tail and tail_below_half_k equal the ones
+    recomputed from n, k and the stored cutoff.
     Groups past the k(k+1)/2 - 3 primes k assigns fail residues unrebuilt.
     """
     report = VerificationReport()
@@ -476,10 +476,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     fresh = tail_estimate(n, k, cutoff)
     window_ok, window_index = tail_window(fresh)
     tail_ok = (
-        cert.tail.n == n
-        and cert.tail.k == k
-        and fresh.value == cert.tail.value
-        and fresh.remainder_bound == cert.tail.remainder_bound
+        fresh == cert.tail
         and window_ok
         and window_index == cert.tail_window_index
         and cert.tail_below_half_k == tail_below_half_k(fresh)
@@ -639,9 +636,8 @@ def erdos_zero_run(params: ErdosRunParams) -> ErdosRunResult:
     t = params.t
     slots = [(j, prod(group), t) for j, group in enumerate(params.prime_groups)]
     for j, g, _ in slots:
-        if g ** min(t - 1, FACTOR_LIMIT.bit_length()) > FACTOR_LIMIT:
-            raise ValueError(f"x + {j} >= {g}**{t - 1} passes {FACTOR_LIMIT}, "
-                             "the exact divisor-count ceiling")
+        check_divisor_ceiling(g ** min(t - 1, FACTOR_LIMIT.bit_length()),
+                              f"x + {j} >= {g}**{t - 1}")
     solution = crt_solve(_erdos_congruences(slots))
     x = solution.residue if solution.residue > 0 else solution.modulus
     checks = []

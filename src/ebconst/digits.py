@@ -4,7 +4,7 @@ Two independent expansion algorithms (reciprocal series and divisor-sieve
 series) plus positional digit extraction, which reads the bits at
 position n from the divisor route frac(2**(n-1) E) = frac(sum_l
 d(n+l)/2**(l+1)) over one short run of divisor counts; the sieve series
-and the divisor route both sum through divisors.pack_weighted. Every
+and the divisor route read divisors.divisor_prefix and divisor_tail. Every
 emitted digit is certified by one loop, _certify: each path encloses its
 scaled value in exact integers [lower, lower + slack], and digits are
 released only when both ends agree once the guard bits are discarded.
@@ -15,11 +15,10 @@ for E) is kept separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
-from .divisors import divisor_sieve, divisor_tail, pack_weighted, tail_majorant
+from .divisors import divisor_prefix, divisor_tail, tail_majorant
 
 _RETRY_CAP = 10
 
@@ -114,22 +113,8 @@ def expand_naive(precision: int) -> DigitExpansion:
 
 
 def expand_sieve(precision: int) -> DigitExpansion:
-    """Expansion from sum_n d(n)/2**n, d(n) = 2*half[n] + [n is a square].
-
-    At scale 2**m, 2*pack_weighted(half[1:]) + sum_{k*k<=m} 2**(m - k*k)
-    is the sum over n <= m; the rest adds at most tail_majorant(m + 1).
-    """
-    def enclose(m: int) -> tuple[int, int]:
-        e = m - np.arange(1, isqrt(m) + 1, dtype=np.int64) ** 2
-        squares = np.zeros(m // 8 + 1, np.uint8)
-        # .at, not |= by fancy index: the bits of the largest squares
-        # (m - 1, m - 4, m - 9) lie fewer than 8 apart and share bytes at
-        # every m.
-        np.bitwise_or.at(squares, e >> 3, np.left_shift(1, e & 7).astype(np.uint8))
-        return (2 * pack_weighted(divisor_sieve(m)[1:])
-                + int.from_bytes(squares, "little"), tail_majorant(m + 1))
-
-    return _expansion(precision, "sieve", enclose)
+    """Expansion from sum_n d(n)/2**n, enclosed by divisor_prefix."""
+    return _expansion(precision, "sieve", divisor_prefix)
 
 
 def digit_window(pos: int, width: int) -> str:

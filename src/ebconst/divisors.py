@@ -15,7 +15,8 @@ float steps are exact below 2**53), and exact divisor sums over arithmetic
 progressions. One kernel, pack_weighted, computes every weighted divisor
 sum sum_i d_i * 2**(-i) at a fixed scale:
 divisor_tail (the digit-window and witness tails), lemma3's per-row tails
-and expand_sieve's half-count table.
+and divisor_prefix (the sieve expansion's half-count table). One check,
+check_divisor_ceiling, refuses every divisor count past FACTOR_LIMIT.
 """
 
 from __future__ import annotations
@@ -61,6 +62,13 @@ def _check_budget(need: int, what: str) -> None:
             f"{what} needs about {need} bytes, past the "
             f"{SIEVE_MEMORY_BUDGET}-byte sieve memory budget"
         )
+
+
+def check_divisor_ceiling(hi: int, what: str) -> None:
+    """Refuse hi past FACTOR_LIMIT, naming it as what."""
+    if hi > FACTOR_LIMIT:
+        raise ValueError(f"this implementation supports n <= {FACTOR_LIMIT}, "
+                         f"its exact divisor-count ceiling; got {what}")
 
 
 def is_prime(n: int) -> bool:
@@ -270,11 +278,7 @@ def divisor_counts(lo: int, count: int) -> np.ndarray:
     if lo < 1 or count < 1:
         raise ValueError("divisor_counts requires lo, count >= 1")
     hi = lo + count - 1
-    if hi > FACTOR_LIMIT:
-        raise ValueError(
-            f"divisor_counts supports n <= {FACTOR_LIMIT}, the exact "
-            f"divisor-count ceiling of this implementation; got n = {hi}"
-        )
+    check_divisor_ceiling(hi, f"n = {hi}")
     _check_budget(_BYTES_PER_COUNT * count, f"a run of {count} divisor counts")
     primes = primes_upto(isqrt(hi))[1:]  # 2 is read off the lowest set bit
     floats = _prime_floats[1 : len(primes) + 1]
@@ -364,6 +368,21 @@ def divisor_tail(start: int, count: int) -> tuple[int, int]:
             tail_majorant(start + count))
 
 
+def divisor_prefix(m: int) -> tuple[int, int]:
+    """Weighted divisor prefix (scaled, slack) at scale 2**m: scaled =
+    sum d(n) * 2**(m - n) over n <= m is twice the packed divisor_sieve(m)
+    plus sum_{k*k <= m} 2**(m - k*k), as d(n) = 2*half[n] + [n is a square],
+    and the terms n > m add at most slack = tail_majorant(m + 1)."""
+    e = m - np.arange(1, isqrt(m) + 1, dtype=np.int64) ** 2
+    squares = np.zeros(m // 8 + 1, np.uint8)
+    # .at, not |= by fancy index: the bits of the largest squares
+    # (m - 1, m - 4, m - 9) lie fewer than 8 apart and share bytes at
+    # every m.
+    np.bitwise_or.at(squares, e >> 3, np.left_shift(1, e & 7).astype(np.uint8))
+    return (2 * pack_weighted(divisor_sieve(m)[1:])
+            + int.from_bytes(squares, "little"), tail_majorant(m + 1))
+
+
 def divisor_sieve(limit: int) -> np.ndarray:
     """Half-count table half[n] = #{d | n : d < sqrt(n)} = d(n) // 2 for
     1 <= n <= limit (half[0] is unused), from strided adds over the odd
@@ -419,10 +438,7 @@ def progression_divisor_sum(a: int, step: int, count: int) -> int:
     if a < 1 or step < 1 or count < 1:
         raise ValueError("progression_divisor_sum requires a, step, count >= 1")
     last = a + (count - 1) * step
-    if last > FACTOR_LIMIT:
-        raise ValueError(
-            f"last term {last} exceeds the supported range {FACTOR_LIMIT}"
-        )
+    check_divisor_ceiling(last, f"a last term n = {last}")
     if count >= 16:
         half = _shared_half_counts(last)
         if half is not None:

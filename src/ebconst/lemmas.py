@@ -181,6 +181,13 @@ class Lemma3Report:
         return "\t".join(parts)
 
 
+# lemma3 refuses k, L_analog or cutoff above this before any 2**k, 2**L or
+# 2**cutoff is built. The record prints sumT exactly, over a denominator up
+# to 2**cutoff: 1,234 digits at the cap, within Python's 4,300-digit
+# int-to-str limit (cutoff = 65,536 ran but could not print its record).
+_SCALE_CAP = 1 << 12
+
+
 def _markov_holds(exceed: int, total: Fraction, k: int) -> bool:
     """exceed * 2**(-k/2) <= total, via squares."""
     return total >= 0 and exceed * exceed <= total * total * (1 << k)
@@ -201,10 +208,16 @@ def check_lemma3_decomposition(
     bypasses divisor sums entirely and checks only the counting step. The
     partition S1 + S2 = sum of truncated tails is asserted exactly at the
     shared cutoff. One row of divisor counts is held at a time, with the
-    column sums and running totals.
+    column sums and running totals. k, L_analog and cutoff above
+    _SCALE_CAP raise ValueError before any work.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    if max(k, L_analog, cutoff) > _SCALE_CAP:
+        raise ValueError(
+            f"lemma3 supports k, L and cutoff up to {_SCALE_CAP}; got k = {k}, "
+            f"L = {L_analog}, cutoff = {cutoff}"
+        )
 
     if tail_values is not None:
         values = [Fraction(v) for v in tail_values]

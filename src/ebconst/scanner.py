@@ -11,6 +11,9 @@ from .digits import _check_bits
 # All 2**block_len blocks are tabulated, so cap the table size.
 MAX_BLOCK_LEN = 20
 
+# Block starts counted per step of block_frequency_table.
+_FREQ_CHUNK = 1 << 22
+
 
 @dataclass(frozen=True)
 class BlockScanReport:
@@ -84,10 +87,15 @@ def block_frequency_table(digits: str, block_len: int) -> dict[str, int]:
         raise ValueError(f"block_len is capped at {MAX_BLOCK_LEN}")
     bits = _check_bits(digits, "digits") - ord("0")
     n = len(bits) - block_len + 1
-    # Value of the block starting at each position, first bit most significant.
-    values = np.zeros(n, np.uint32)
-    for j in range(block_len):
-        values <<= 1
-        values |= bits[j : j + n]
-    counts = np.bincount(values, minlength=1 << block_len)
+    counts = np.zeros(1 << block_len, np.int64)
+    # Starts in chunks, each reading block_len - 1 bits past its end; intp
+    # values, since bincount would copy any other dtype to intp.
+    for start in range(0, n, _FREQ_CHUNK):
+        size = min(_FREQ_CHUNK, n - start)
+        # Value of the block at each start, first bit most significant.
+        values = np.zeros(size, np.intp)
+        for j in range(block_len):
+            values <<= 1
+            values |= bits[start + j : start + j + size]
+        counts += np.bincount(values, minlength=1 << block_len)
     return {format(v, f"0{block_len}b"): c for v, c in enumerate(counts.tolist())}

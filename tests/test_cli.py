@@ -349,8 +349,14 @@ def test_prime_table_past_memory_budget_exits_2(args):
     ("scan", "--input", "no-such-digits-file.txt"),
     # A run of 10**9 divisor counts past the sieve memory budget.
     ("window", "--pos", "1", "--width", "1000000000"),
+    # lemma3 scales past its cap: refused before 2**k or 2**cutoff is built.
     ("lemmas", "--suite", "lemma3", "--k", "3", "--L", "16",
      "--cutoff", "1000000000", "--r", "1000003", "--A", "30", "--M", "8"),
+    ("lemmas", "--suite", "lemma3", "--k", "1180591620717411303424",
+     "--tails", "1"),
+    ("lemmas", "--suite", "lemma3", "--k", "99999999999990",
+     "--L", "99999999999990", "--cutoff", "99999999999990",
+     "--r", "1", "--A", "1", "--M", "1"),
     # A negative instance count.
     ("lemmas", "--suite", "lemma2", "--count", "-1"),
 ])

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ebconst import divisors
+from ebconst.construction import ErdosRunParams, erdos_zero_run
 from ebconst.divisors import (
     _MR_PSI,
     _MR_WITNESSES,
@@ -758,9 +759,36 @@ class TestProgressionDivisorSum:
         assert type(total) is int and total == expected  # Fraction needs int
 
     def test_range_rejection(self):
-        with pytest.raises(ValueError, match="supported range"):
+        with pytest.raises(ValueError, match="supports n <= 100000000000000"):
             progression_divisor_sum(1, FACTOR_LIMIT, 2)
+
+    def test_last_term_at_the_ceiling(self):
+        # d(1) + d(2**14 * 5**14) = 1 + 15**2
+        assert progression_divisor_sum(1, FACTOR_LIMIT - 1, 2) == 226
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             progression_divisor_sum(0, 1, 1)
+
+
+# 10**14 + 1 = 29 * 101 * 281 * 121499449: group 3 of an Erdos run at t = 2,
+# where group j holds j + 1 primes.
+_PAST_CEILING_GROUP = (29, 101, 281, 121499449)
+_PAST_CEILING_RUN = ErdosRunParams(
+    t=2, prime_groups=((3,), (5, 7), (11, 13, 17), _PAST_CEILING_GROUP))
+
+
+@pytest.mark.parametrize("refuse,got", [
+    (lambda: divisor_counts(FACTOR_LIMIT + 1, 1), "n = 100000000000001"),
+    (lambda: progression_divisor_sum(FACTOR_LIMIT + 1, 1, 1),
+     "a last term n = 100000000000001"),
+    (lambda: erdos_zero_run(_PAST_CEILING_RUN), "x + 3 >= 100000000000001**1"),
+])
+def test_one_ceiling_refusal_one_past_the_ceiling(refuse, got):
+    # Every divisor-count refusal is check_divisor_ceiling's, word for word.
+    assert prod(_PAST_CEILING_GROUP) == FACTOR_LIMIT + 1
+    with pytest.raises(ValueError) as info:
+        refuse()
+    assert str(info.value) == (
+        "this implementation supports n <= 100000000000000, its exact "
+        f"divisor-count ceiling; got {got}")

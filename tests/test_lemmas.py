@@ -111,6 +111,18 @@ class TestLemma3:
         assert report.bounds_checked["markov"] == "pass"
         assert report.sumT == 1
 
+    def test_scales_up_to_the_cap(self):
+        report = check_lemma3_decomposition((1000003, 30, 1), 3, 16, 4096)
+        assert report.bounds_checked["partition"] == "pass"
+        assert len(report.record()) > 1234  # sumT printed over 2**4096
+        for k, L, cutoff in ((3, 16, 4097), (3, 4097, 4097), (4097, 4097, 4097),
+                             (2**70, 2**70, 2**70)):
+            with pytest.raises(ValueError, match="up to 4096"):
+                check_lemma3_decomposition((1, 1, 1), k, L, cutoff)
+            with pytest.raises(ValueError, match="up to 4096"):
+                check_lemma3_decomposition(None, k, L, cutoff,
+                                           tail_values=[Fraction(1)])
+
     def test_all_zero_values(self):
         report = check_lemma3_decomposition(
             None, 2, 2, 2, tail_values=[Fraction(0)] * 4

@@ -1,10 +1,12 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebconst import scanner
 from ebconst.digits import expand_sieve
 from ebconst.scanner import block_frequency_table, scan_block
 
@@ -117,10 +119,13 @@ def test_block_frequency_validates():
 
 
 @given(st.text(alphabet="01", min_size=4, max_size=120),
-       st.integers(min_value=1, max_value=4))
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=130))
 @settings(max_examples=150, deadline=None)
-def test_frequency_identity(digits, block_len):
-    table = block_frequency_table(digits, block_len)
+def test_frequency_identity(digits, block_len, chunk):
+    # Chunks of a few starts make blocks straddle chunk ends.
+    with mock.patch.object(scanner, "_FREQ_CHUNK", chunk):
+        table = block_frequency_table(digits, block_len)
     assert sum(table.values()) == len(digits) - block_len + 1
     for block, count in table.items():
         assert count == len(brute_positions(digits, block))

@@ -105,9 +105,11 @@ MUTANTS = (
            "lower >> guard == (lower + slack - 1) >> guard"),
     Mutant("emission_pad_sign", "src/ebconst/digits.py",
            "pad = -width % 8", "pad = width % 8"),
-    Mutant("squares_fancy_index_or", "src/ebconst/digits.py",
+    Mutant("squares_fancy_index_or", "src/ebconst/divisors.py",
            "np.bitwise_or.at(squares, e >> 3, np.left_shift(1, e & 7).astype(np.uint8))",
            "squares[e >> 3] |= np.left_shift(1, e & 7).astype(np.uint8)"),
+    Mutant("ceiling_inclusive", "src/ebconst/divisors.py",
+           "if hi > FACTOR_LIMIT:", "if hi >= FACTOR_LIMIT:"),
     Mutant("tail_majorant_without_2", "src/ebconst/divisors.py",
            "return 2 * _isqrt_ceil(end) + 2", "return 2 * _isqrt_ceil(end)"),
     Mutant("hit_test_strict", "src/ebconst/divisors.py",
@@ -135,6 +137,10 @@ MUTANTS = (
     Mutant("even_square_a_plus_2_over_2_at_even_a", "src/ebconst/divisors.py",
            "column[roots * roots // 2] += (a + 1) // 2",
            "column[roots * roots // 2] += (a + 2) // 2"),
+    Mutant("cofactor_at_least_1", "src/ebconst/divisors.py",
+           "cofactor > 1", "cofactor >= 1"),
+    Mutant("cofactor_adds_instead_of_doubling", "src/ebconst/divisors.py",
+           "counts <<= cofactor > 1", "counts += cofactor > 1"),
     Mutant("cofactor_above_2", "src/ebconst/divisors.py",
            "counts <<= cofactor > 1", "counts <<= cofactor > 2",
            equivalent="n & -n is divided out before, so every cofactor is "
