@@ -65,12 +65,9 @@ def ln_bounds(y, prec: int = 64) -> tuple[Fraction, Fraction]:
     if y < 1:
         lo, hi = ln_bounds(1 / y, prec)
         return -hi, -lo
-    # Reduce to y = m * 2**e with m in [1, 2).
-    e = 0
-    m = y
-    while m >= 2:
-        m /= 2
-        e += 1
+    # Reduce to y = m * 2**e with m in [1, 2): 2**e <= floor(y) < 2**(e+1).
+    e = (y.numerator // y.denominator).bit_length() - 1
+    m = y / (1 << e)
     # Spread the precision target over the e*ln2 + ln m recombination.
     inner = prec + max(e, 1).bit_length() + 1
     m_lo, m_hi = _atanh_ln(m, inner)

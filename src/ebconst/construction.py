@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd, prod
 
 from .bounds import exceeds_half_power
@@ -100,6 +101,11 @@ _CUTOFF_SPAN_CAP = 4096
 _VERIFY_K_CAP = 12
 
 
+def _group_sizes(k: int) -> dict[int, int]:
+    """The group rule: group j holds j + 1 primes for 0 <= j < k, j != 2."""
+    return {j: j + 1 for j in range(k) if j != 2}
+
+
 @dataclass(frozen=True)
 class WitnessParams:
     """Desk-scale knobs for the witness pipeline.
@@ -125,7 +131,7 @@ class WitnessParams:
 
     @property
     def group_indices(self) -> list[int]:
-        return [j for j in range(self.k) if j != 2]
+        return list(_group_sizes(self.k))
 
     @property
     def required_primes(self) -> int:
@@ -156,13 +162,9 @@ def select_primes(params: WitnessParams) -> tuple[int, dict[int, list[int]]]:
             f"k={params.k} requires {need} distinct primes but the {source} "
             f"is too small"
         )
-    q0 = pool[0]
-    groups: dict[int, list[int]] = {}
-    at = 1
-    for j in params.group_indices:
-        groups[j] = pool[at : at + j + 1]
-        at += j + 1
-    return q0, groups
+    rest = iter(pool[1:])
+    return pool[0], {j: list(islice(rest, size))
+                     for j, size in _group_sizes(params.k).items()}
 
 
 def _erdos_congruences(slots) -> list[tuple[int, int]]:
@@ -185,8 +187,15 @@ class WitnessSystem:
 
 
 def build_witness_system(q0: int, groups: dict[int, list[int]]) -> WitnessSystem:
-    """Solve the residue system and derive (A, B, r, s), verifying each
-    property before returning; any failure aborts naming the relation."""
+    """Solve the residue system and derive (A, B, r, s).
+
+    Only the inputs (distinct primes, no group j = 2) and gcd(s, B) = 1
+    can fail, raising ConstructionError. The rest holds by construction:
+    crt_solve asserts each congruence and returns r in [0, A), A being its
+    moduli's product, and r = q0^2 - 2 (mod q0^3) with q0 >= 2 makes
+    s = (r + 2)/q0^2 an integer = 1 (mod q0), s >= 1 as r >= q0^2 - 2, and
+    s < B, since s = B would need r + 2 = A, so q0^2 = 0 (mod q0^3).
+    """
     all_primes = [q0] + [p for js in sorted(groups) for p in groups[js]]
     if len(set(all_primes)) != len(all_primes):
         raise ConstructionError("q0 and the group primes must be distinct")
@@ -204,18 +213,7 @@ def build_witness_system(q0: int, groups: dict[int, list[int]]) -> WitnessSystem
     solution = crt_solve(_erdos_congruences(
         [(2, q0, 3)] + [(j, products[j], 2) for j in sorted(products)]))
     r = solution.residue
-
-    if solution.modulus != A:
-        raise ConstructionError("modulus product != A = q0^3 * prod(P_j^2)")
-    if not 0 <= r < A:
-        raise ConstructionError("residue not normalized to 0 <= r < A")
-    if (r + 2) % q0**2 != 0:
-        raise ConstructionError("r + 2 not divisible by q0^2")
     s = (r + 2) // q0**2
-    if s % q0 != 1:
-        raise ConstructionError("s != 1 (mod q0)")
-    if not 1 <= s < B:
-        raise ConstructionError("s outside [1, B)")
     if gcd(s, B) != 1:
         raise ConstructionError("gcd(s, B) != 1")
     return WitnessSystem(
@@ -306,8 +304,8 @@ def search_witness(params: WitnessParams,
         n = r + m * A
         if n + 2 != q0 * q0 * p:
             continue
-        # Once p is prime, every other check holds by construction, since
-        # build_witness_system proved its premises. s = 1 (mod q0) and
+        # Once p is prime, every other check holds by the congruences r
+        # solves (see build_witness_system). s = 1 (mod q0) and
         # q0 | B give p = 1 (mod q0), so p != q0 and n + 2 = q0^2 * p has
         # d(n+2) = 6 and nu_q0(n+2) = 2. P_j^2 | A and r = P_j - j
         # (mod P_j^2) give n + j = P_j (mod P_j^2), so P_j, a product of
@@ -369,16 +367,15 @@ def _pattern_holds(cert: WitnessCertificate) -> bool:
     n + j = P_j (mod P_j^2), for every 0 <= j < k, j != 2.
 
     Then P_j exactly divides n + j, so 2^(j+1) | d(n+j) with nothing
-    factored. The group keys are checked without listing range(k), and the
+    factored. verify's gate bounds k before the rule is listed, and the
     congruence bounds P_j by n + j before Miller-Rabin sees a group prime.
     """
-    k = cert.k
-    if len(cert.groups) != max(k, 0) - (k > 2):
+    sizes = _group_sizes(cert.k)
+    if cert.groups.keys() != sizes.keys():
         return False
     for j, group in cert.groups.items():
         pj = cert.prime_products.get(j)
-        if not (0 <= j < k and j != 2
-                and len(set(group)) == len(group) == j + 1
+        if not (len(set(group)) == len(group) == sizes[j]
                 and pj == prod(group) and pj > 1
                 and (cert.n + j) % (pj * pj) == pj
                 and all(is_prime(q) for q in group)):
@@ -407,7 +404,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
     count is computed, and nothing else is checked. The tail check also
     fails unless the stored tail and tail_below_half_k equal the ones
     recomputed from n, k and the stored cutoff.
-    Groups past the k(k+1)/2 - 3 primes k assigns fail residues unrebuilt.
+    Groups past the primes the group rule assigns fail residues unrebuilt.
     """
     report = VerificationReport()
     n, k, cutoff = cert.n, cert.k, cert.tail.cutoff
@@ -421,7 +418,7 @@ def verify_certificate(cert: WitnessCertificate) -> VerificationReport:
         return report
 
     held = sum(map(len, cert.groups.values()))
-    cap = k * (k + 1) // 2 - 3 * (k > 2)  # j + 1 primes in group j < k, j != 2
+    cap = sum(_group_sizes(k).values())
     try:
         if held > cap:  # a rebuild's work grows as held**2
             raise ValueError(f"the groups hold {held} primes, past the {cap} "

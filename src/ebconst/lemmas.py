@@ -147,10 +147,8 @@ def generate_lemma2_instances(count: int, y_max: int, seed: int) -> list[Lemma2I
         span = y_max - a
         if span < 0:
             continue
-        m = rng.randint(1, max(1, min(2000, span // step + 1)))
+        m = rng.randint(1, min(2000, span // step + 1))  # keeps last <= y_max
         last = a + (m - 1) * step
-        if last > y_max:
-            continue
         y = rng.randint(max(3, last), y_max)
         instances.append(Lemma2Instance(a, step, m, Fraction(y)))
     return instances[:count]

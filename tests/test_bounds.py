@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +32,25 @@ def test_ln_known_values():
         lo, hi = ln_bounds(Fraction(y), 80)
         assert lo <= reference <= hi
         assert hi - lo <= Fraction(1, 1 << 80)
+
+
+def _ln_reference(y: Fraction) -> Fraction:
+    with mpmath.workdps(60):  # error below 10**-55
+        return Fraction(str(mpmath.log(mpmath.mpf(y.numerator) / y.denominator)))
+
+
+@pytest.mark.parametrize("y", [
+    # y in (1, 2) is its own mantissa: e = 0 returns the series bounds.
+    Fraction(3, 2), Fraction(7, 5), Fraction(10**6 + 1, 10**6),
+    Fraction(2 * 10**6 - 1, 10**6),
+    # At 2**e the mantissa is exactly 1, just below it close to 2.
+    *(Fraction(1 << e) for e in range(1, 70, 7)),
+    *((1 << e) - Fraction(1, 3) for e in range(1, 70, 7)),
+])
+def test_ln_brackets_mpmath_reference(y):
+    lo, hi = ln_bounds(y, 80)
+    assert lo <= _ln_reference(y) <= hi
+    assert hi - lo <= Fraction(1, 1 << 80)
 
 
 def test_ln_one_is_zero():

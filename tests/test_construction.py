@@ -17,6 +17,7 @@ from ebconst.construction import (
     TailEstimate,
     WitnessCertificate,
     WitnessParams,
+    _group_sizes,
     build_witness_system,
     certificate_from_json,
     certificate_to_json,
@@ -75,6 +76,35 @@ class TestSelectPrimes:
         with pytest.raises(ValueError):
             WitnessParams(k=2, prime_window=(5, 20))
 
+    @pytest.mark.parametrize("source", [
+        {}, {"prime_window": (5, 20), "primes": (5, 7, 11, 13)},
+    ])
+    def test_exactly_one_prime_source(self, source):
+        with pytest.raises(ValueError, match="exactly one of"):
+            WitnessParams(k=3, **source)
+
+    def test_negative_m_max_rejected(self):
+        with pytest.raises(ValueError, match="m_max must be >= 0"):
+            WitnessParams(k=3, prime_window=(5, 20), m_max=-1)
+
+
+class TestGroupRule:
+    def test_sizes_agree_with_the_required_count(self):
+        # required_primes keeps a closed form, so a huge k is refused
+        # before range(k) is listed; q0 is the one prime outside the groups.
+        for k in range(3, 41):
+            params = WitnessParams(k=k, prime_window=(5, 20))
+            assert 1 + sum(_group_sizes(k).values()) == params.required_primes
+
+    def test_sizes_agree_with_the_closed_forms(self):
+        # The key count and prime cap verify used for every k its gate admits.
+        for k in range(13):
+            sizes = _group_sizes(k)
+            assert list(sizes) == [j for j in range(k) if j != 2]
+            assert all(size == j + 1 for j, size in sizes.items())
+            assert len(sizes) == max(k, 0) - (k > 2)
+            assert sum(sizes.values()) == k * (k + 1) // 2 - 3 * (k > 2)
+
 
 class TestBuildWitnessSystem:
     def test_reference_moduli(self):
@@ -99,6 +129,12 @@ class TestBuildWitnessSystem:
     def test_group_two_rejected(self):
         with pytest.raises(ConstructionError, match="reserved"):
             build_witness_system(5, {0: [7], 2: [11, 13]})
+
+    def test_s_sharing_a_factor_with_b_rejected(self):
+        # P_0 = 2 puts r = 2 (mod 4), so 4 divides r + 2 and s (s = 4,
+        # B = 3 * 2^2 * 35^2): the one derived property that can fail.
+        with pytest.raises(ConstructionError, match=r"gcd\(s, B\) != 1"):
+            build_witness_system(3, {0: [2], 1: [5, 7]})
 
 
 class TestTailEstimate:
@@ -191,6 +227,19 @@ class TestSearchWitness:
         outcome = search_witness(params, system)
         assert isinstance(outcome, NoWitnessInRange)
         assert outcome.m_scanned == 0
+
+    def test_inconsistent_system_yields_no_certificate(self, monkeypatch):
+        # With s + 1, n + 2 != q0^2 * p at every m, so each prime hit is
+        # skipped before its tail is computed.
+        def forbidden(*args):
+            raise AssertionError("tail computed for an inconsistent candidate")
+
+        params = WitnessParams(k=3, primes=(7, 11, 13, 17), m_max=200)
+        system = build_witness_system(*select_primes(params))
+        monkeypatch.setattr(construction, "tail_estimate", forbidden)
+        outcome = search_witness(params, replace(system, s=system.s + 1))
+        assert isinstance(outcome, NoWitnessInRange)
+        assert outcome.prime_hits > 0
 
     def test_desk_certificate_all_checks(self, desk_certificate):
         cert = desk_certificate

@@ -758,6 +758,19 @@ class TestProgressionDivisorSum:
         total = progression_divisor_sum(a, step, count)
         assert type(total) is int and total == expected  # Fraction needs int
 
+    def test_long_progression_past_the_shared_table_cap(self, monkeypatch):
+        # A last term past _SHARED_TABLE_CAP sums termwise, even at
+        # count >= 16, and builds no table.
+        def forbidden(*args):
+            raise AssertionError("built a divisor table past the cap")
+
+        monkeypatch.setattr(divisors, "divisor_sieve", forbidden)
+        a, step, count = divisors._SHARED_TABLE_CAP - 40, 3, 20
+        assert a + (count - 1) * step > divisors._SHARED_TABLE_CAP
+        expected = sum(int(sympy.divisor_count(a + m * step))
+                       for m in range(count))
+        assert progression_divisor_sum(a, step, count) == expected
+
     def test_range_rejection(self):
         with pytest.raises(ValueError, match="supports n <= 100000000000000"):
             progression_divisor_sum(1, FACTOR_LIMIT, 2)

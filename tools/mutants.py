@@ -62,6 +62,9 @@ MUTANTS = (
            "exceed * exceed < total * total * (1 << k)"),
     Mutant("s1_y_cap_doubled", "src/ebconst/lemmas.py",
            "3 <= y <= 1 << L_analog", "3 <= y <= 2 << L_analog"),
+    Mutant("ln_reduction_exponent_plus_1", "src/ebconst/bounds.py",
+           "(y.numerator // y.denominator).bit_length() - 1",
+           "(y.numerator // y.denominator).bit_length()"),
     Mutant("half_power_at_equality", "src/ebconst/bounds.py",
            "num * num << k > den * den", "num * num << k >= den * den"),
     Mutant("half_power_without_sign_test", "src/ebconst/bounds.py",
@@ -91,7 +94,10 @@ MUTANTS = (
     Mutant("pattern_without_group_primality", "src/ebconst/construction.py",
            "and all(is_prime(q) for q in group)", "and True"),
     Mutant("pattern_without_distinctness", "src/ebconst/construction.py",
-           "len(set(group)) == len(group) == j + 1", "len(group) == j + 1"),
+           "len(set(group)) == len(group) == sizes[j]",
+           "len(group) == sizes[j]"),
+    Mutant("group_rule_reserves_3", "src/ebconst/construction.py",
+           "for j in range(k) if j != 2}", "for j in range(k) if j != 3}"),
     Mutant("s_without_gcd", "src/ebconst/construction.py",
            "and gcd(cert.s, cert.B) == 1", "and True"),
     Mutant("d6_without_size_bound", "src/ebconst/construction.py",
